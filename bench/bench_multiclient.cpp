@@ -21,11 +21,19 @@
 // shared-reply mode legitimately changes miss-path timing — it may only
 // change timing, never architectural state.
 //
+// Every fleet row also reports host cost: `wall_s` (fleet construction plus
+// the run), `peak_rss_mb` (the process high-water mark during the row, reset
+// per row through /proc/self/clear_refs) and `rss_per_client_kb` (that peak
+// above the pre-row RSS, per client; the server's fixed cost is included,
+// so it dominates small fleets). These are host measurements: the JSON
+// carries `nproc`, and only the other row fields are deterministic.
+//
 // A second table measures the SERVER-SCALE story: the same MC core fronted
 // by the worker-pool loop, fed by {256, 1024, 4096} logical clients x
-// {1, 2, 4, 8} worker rows. Real VMs at 4096 clients are infeasible (each
-// Machine carries the full guest address space), so the fleet is replayed
-// synthetically: a solo run records the genuinely demanded chunk addresses,
+// {1, 2, 4, 8} worker rows. Guest memory is demand-zero, so real VMs fit at
+// fleet scale (the 1024-client dijkstra row above runs them); this sweep
+// isolates the server instead, so the fleet is replayed synthetically: a
+// solo run records the genuinely demanded chunk addresses,
 // and each logical client re-demands that sequence as serialized
 // kChunkRequest frames submitted through the loop from a fixed pool of
 // driver threads (stop-and-wait per client, like the real transport). The
@@ -36,12 +44,16 @@
 //
 // Flags:
 //   --smoke       one workload, clients {1, 2}; scale sweep at 1024 clients
-//                 x workers {1, 4} only (CI crash + scaling check)
+//                 x workers {1, 4} only (CI crash + scaling check); no
+//                 1024-client real-VM row
 //   --out=PATH    JSON output path (default BENCH_multiclient.json)
 //   --scale-out=PATH  scale-sweep JSON path (default BENCH_server_scale.json)
 //   --trace=PATH  merged Chrome trace of the first workload's 8-client fleet
 //                 run (2 clients under --smoke): one lane per client plus the
 //                 server loop/shard lanes, misses linked by flow arrows
+#include <malloc.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -74,7 +86,40 @@ struct Row {
   uint64_t digest_bytes_saved = 0;  // body bytes that never hit the wire
   uint64_t client_miss_cycles = 0;  // client 0's miss-path cycles
   uint64_t client_cycles = 0;       // client 0's guest cycles
+  // Host measurements (not deterministic; see the file comment).
+  double wall_s = 0.0;
+  double peak_rss_mb = 0.0;
+  double rss_per_client_kb = 0.0;
 };
+
+// Current resident set size, from /proc/self/statm.
+uint64_t ResidentKb() {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t total_pages = 0;
+  uint64_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE)) / 1024;
+}
+
+// The process's peak RSS (VmHWM) in KB.
+uint64_t PeakResidentKb() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmHWM:") {
+      uint64_t kb = 0;
+      status >> kb;
+      return kb;
+    }
+    status.ignore(1 << 20, '\n');
+  }
+  return 0;
+}
+
+// Restarts the VmHWM high-water mark at the current RSS, so the next
+// PeakResidentKb covers only what follows. Without it (kernels before 4.0)
+// the peak is the process lifetime's, which rows report as-is.
+void ResetPeakResident() { std::ofstream("/proc/self/clear_refs") << "5"; }
 
 softcache::SoftCacheConfig BaseConfig() {
   softcache::SoftCacheConfig config;
@@ -87,6 +132,11 @@ Row RunFleet(const workloads::WorkloadSpec& spec, const image::Image& img,
              const std::vector<uint8_t>& input, const bench::NativeRun& native,
              const bench::CachedRun& solo, uint32_t clients,
              const std::string& trace_path) {
+  // Return heap a previous row freed, so the row's growth is its own.
+  malloc_trim(0);
+  const uint64_t rss_before_kb = ResidentKb();
+  ResetPeakResident();
+  const auto start = std::chrono::steady_clock::now();
   softcache::MultiClientConfig config;
   config.clients = clients;
   config.base = BaseConfig();
@@ -103,6 +153,10 @@ Row RunFleet(const workloads::WorkloadSpec& spec, const image::Image& img,
     mux.EnableAll();
   }
   const std::vector<vm::RunResult> results = fleet.RunAll(16'000'000'000ull);
+  const double wall_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  const uint64_t peak_kb = PeakResidentKb();
   if (!trace_path.empty()) {
     std::ofstream trace_out(trace_path);
     SC_CHECK(trace_out.good()) << "cannot open " << trace_path;
@@ -147,24 +201,35 @@ Row RunFleet(const workloads::WorkloadSpec& spec, const image::Image& img,
   row.digest_bytes_saved = server.digest_bytes_saved;
   row.client_miss_cycles = fleet.cc(0).stats().miss_cycles;
   row.client_cycles = results[0].cycles;
+  row.wall_s = wall_s;
+  row.peak_rss_mb = static_cast<double>(peak_kb) / 1024.0;
+  row.rss_per_client_kb =
+      peak_kb > rss_before_kb
+          ? static_cast<double>(peak_kb - rss_before_kb) / clients
+          : 0.0;
   return row;
 }
 
 void PrintRow(const Row& row) {
-  std::printf("%-10s %7u %10llu %10llu %8.1f%% %12llu %10.0f %10llu\n",
+  std::printf("%-10s %7u %10llu %10llu %8.1f%% %12llu %10.0f %10llu %7.2f "
+              "%8.1f %8.0f\n",
               row.workload.c_str(), row.clients,
               static_cast<unsigned long long>(row.server_translates),
               static_cast<unsigned long long>(row.memo_hits),
               100.0 * row.memo_hit_rate,
               static_cast<unsigned long long>(row.server_wire_bytes),
               row.wire_bytes_per_client,
-              static_cast<unsigned long long>(row.digest_replies));
+              static_cast<unsigned long long>(row.digest_replies), row.wall_s,
+              row.peak_rss_mb, row.rss_per_client_kb);
 }
 
 void WriteJson(const std::string& path, const std::vector<Row>& rows) {
   FILE* f = std::fopen(path.c_str(), "w");
   SC_CHECK(f != nullptr) << "cannot open " << path;
-  std::fprintf(f, "{\n  \"bench\": \"multiclient\",\n  \"rows\": [\n");
+  std::fprintf(f,
+               "{\n  \"bench\": \"multiclient\",\n  \"nproc\": %u,\n"
+               "  \"rows\": [\n",
+               std::thread::hardware_concurrency());
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
@@ -174,7 +239,9 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
                  "\"wire_bytes_per_client\": %.1f, "
                  "\"server_requests\": %llu, \"shared_requests\": %llu, "
                  "\"digest_replies\": %llu, \"digest_bytes_saved\": %llu, "
-                 "\"client_miss_cycles\": %llu, \"client_cycles\": %llu}%s\n",
+                 "\"client_miss_cycles\": %llu, \"client_cycles\": %llu, "
+                 "\"wall_s\": %.3f, \"peak_rss_mb\": %.1f, "
+                 "\"rss_per_client_kb\": %.0f}%s\n",
                  r.workload.c_str(), r.clients,
                  static_cast<unsigned long long>(r.server_translates),
                  static_cast<unsigned long long>(r.memo_hits),
@@ -186,7 +253,8 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
                  static_cast<unsigned long long>(r.digest_replies),
                  static_cast<unsigned long long>(r.digest_bytes_saved),
                  static_cast<unsigned long long>(r.client_miss_cycles),
-                 static_cast<unsigned long long>(r.client_cycles),
+                 static_cast<unsigned long long>(r.client_cycles), r.wall_s,
+                 r.peak_rss_mb, r.rss_per_client_kb,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -435,9 +503,10 @@ int main(int argc, char** argv) {
     fleet_sizes = {1, 2};
   }
 
-  std::printf("%-10s %7s %10s %10s %9s %12s %10s %10s\n", "workload",
-              "clients", "translate", "memo hits", "hit rate", "server bytes",
-              "bytes/cl", "digests");
+  std::printf("%-10s %7s %10s %10s %9s %12s %10s %10s %7s %8s %8s\n",
+              "workload", "clients", "translate", "memo hits", "hit rate",
+              "server bytes", "bytes/cl", "digests", "wall s", "peak MB",
+              "KB/cl");
   bench::PrintRule();
 
   std::vector<Row> rows;
@@ -459,7 +528,12 @@ int main(int argc, char** argv) {
     // second fleet size (8 clients, 2 under --smoke) keeps the trace small
     // enough to load while still showing cross-client reply coalescing.
     const uint32_t traced_clients = fleet_sizes[1];
-    for (uint32_t clients : fleet_sizes) {
+    // One real-VM fleet well past the others. Guest memory is demand-zero,
+    // so host RSS grows with what clients touch, not with their 18 MB
+    // address spaces; the row is gated like every other.
+    std::vector<uint32_t> sizes = fleet_sizes;
+    if (!smoke && name == "dijkstra") sizes.push_back(1024);
+    for (uint32_t clients : sizes) {
       const bool traced = !trace_path.empty() && name == names.front() &&
                           clients == traced_clients;
       const Row row = RunFleet(*spec, img, input, native, solo, clients,

@@ -10,6 +10,11 @@
 //   0x0100_0000 .. local         the embedded client's on-chip local memory;
 //                                the tcache, stub table, scache and dcache
 //                                arrays live here in softcache mode
+//
+// The map spans kDefaultMemBytes (18 MB), but a vm::Machine backs it with
+// demand-zero memory: a client costs host RSS only for the pages it writes
+// (its image, the heap and stack it uses, its local memory), and any host
+// access past the end hits a guard page.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,8 @@
 #include "vm/machine.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstring>
 #include <sstream>
@@ -13,10 +16,33 @@ using isa::AluOp;
 using isa::Instr;
 using isa::Opcode;
 
-Machine::Machine(uint32_t mem_bytes)
-    : mem_(mem_bytes, 0), engine_(DefaultEngine()) {
+namespace {
+
+size_t PageBytes() { return static_cast<size_t>(sysconf(_SC_PAGESIZE)); }
+
+}  // namespace
+
+Machine::Machine(uint32_t mem_bytes) : engine_(DefaultEngine()) {
   SC_CHECK_GE(mem_bytes, image::kLocalBase) << "memory must cover local region";
+  // Untouched pages of a private anonymous mapping read as the kernel's
+  // shared zero page, so a client pays RSS only for what it writes. The
+  // usable bytes end exactly at the guard page.
+  const size_t page = PageBytes();
+  const size_t usable =
+      (static_cast<size_t>(mem_bytes) + page - 1) / page * page;
+  map_bytes_ = usable + page;
+  map_base_ = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  SC_CHECK(map_base_ != MAP_FAILED) << "cannot map " << map_bytes_
+                                    << " bytes of guest memory";
+  uint8_t* base = static_cast<uint8_t*>(map_base_);
+  SC_CHECK_EQ(mprotect(base + usable, page, PROT_NONE), 0)
+      << "cannot protect the guest memory guard page";
+  mem_ = base + (usable - mem_bytes);
+  mem_size_ = mem_bytes;
 }
+
+Machine::~Machine() { munmap(map_base_, map_bytes_); }
 
 void Machine::set_engine(Engine engine) {
   if (engine == engine_) return;
@@ -59,18 +85,23 @@ void Machine::SuperblockStoreSlow(uint32_t paddr, uint32_t size) {
 }
 
 void Machine::LoadImage(const image::Image& img) {
-  SC_CHECK_LE(img.text_base + img.text.size(), mem_.size());
-  SC_CHECK_LE(img.data_base + img.data.size(), mem_.size());
-  SC_CHECK_LE(static_cast<size_t>(img.bss_base) + img.bss_size, mem_.size());
+  SC_CHECK_LE(img.text_base + img.text.size(), mem_size_);
+  SC_CHECK_LE(img.data_base + img.data.size(), mem_size_);
+  SC_CHECK_LE(static_cast<size_t>(img.bss_base) + img.bss_size, mem_size_);
+  // Drop every page back to demand-zero: bss, heap, stack and local memory
+  // then read as zero without being written (or counted in RSS). On a fresh
+  // mapping there are no pages to drop, so this is nearly free.
+  SC_CHECK_EQ(madvise(map_base_, map_bytes_ - PageBytes(), MADV_DONTNEED), 0)
+      << "cannot reset guest memory";
+  FlushSuperblocks();
   // .data() of an empty section is null; memcpy requires non-null even for
   // zero-length copies.
   if (!img.text.empty()) {
-    std::memcpy(mem_.data() + img.text_base, img.text.data(), img.text.size());
+    std::memcpy(mem_ + img.text_base, img.text.data(), img.text.size());
   }
   if (!img.data.empty()) {
-    std::memcpy(mem_.data() + img.data_base, img.data.data(), img.data.size());
+    std::memcpy(mem_ + img.data_base, img.data.data(), img.data.size());
   }
-  std::memset(mem_.data() + img.bss_base, 0, img.bss_size);
   pc_ = img.entry;
   regs_.fill(0);
   regs_[isa::kSp] = image::kStackTop;
@@ -79,26 +110,26 @@ void Machine::LoadImage(const image::Image& img) {
 }
 
 uint32_t Machine::ReadWord(uint32_t addr) const {
-  SC_CHECK_LE(static_cast<uint64_t>(addr) + 4, mem_.size());
+  SC_CHECK_LE(static_cast<uint64_t>(addr) + 4, mem_size_);
   uint32_t v = 0;
-  std::memcpy(&v, mem_.data() + addr, 4);
+  std::memcpy(&v, mem_ + addr, 4);
   return v;
 }
 
 void Machine::WriteWord(uint32_t addr, uint32_t value) {
-  SC_CHECK_LE(static_cast<uint64_t>(addr) + 4, mem_.size());
-  std::memcpy(mem_.data() + addr, &value, 4);
+  SC_CHECK_LE(static_cast<uint64_t>(addr) + 4, mem_size_);
+  std::memcpy(mem_ + addr, &value, 4);
   InvalidateDecode(addr, 4);
 }
 
 void Machine::ReadBlock(uint32_t addr, void* out, uint32_t len) const {
-  SC_CHECK_LE(static_cast<uint64_t>(addr) + len, mem_.size());
-  std::memcpy(out, mem_.data() + addr, len);
+  SC_CHECK_LE(static_cast<uint64_t>(addr) + len, mem_size_);
+  std::memcpy(out, mem_ + addr, len);
 }
 
 void Machine::WriteBlock(uint32_t addr, const void* bytes, uint32_t len) {
-  SC_CHECK_LE(static_cast<uint64_t>(addr) + len, mem_.size());
-  std::memcpy(mem_.data() + addr, bytes, len);
+  SC_CHECK_LE(static_cast<uint64_t>(addr) + len, mem_size_);
+  std::memcpy(mem_ + addr, bytes, len);
   InvalidateDecode(addr, len);
 }
 
@@ -178,7 +209,7 @@ bool Machine::CheckDataAddr(uint32_t addr, uint32_t size) {
     FaultDataAddr("null-guard data access", addr, size);
     return false;
   }
-  if (static_cast<uint64_t>(addr) + size > mem_.size()) {
+  if (static_cast<uint64_t>(addr) + size > mem_size_) {
     FaultDataAddr("out-of-range data access", addr, size);
     return false;
   }
@@ -213,7 +244,7 @@ void Machine::DoSyscall(int32_t number, uint32_t* next_pc) {
     case kSysWrite: {
       const uint32_t ptr = regs_[isa::kA0];
       const uint32_t len = regs_[isa::kA1];
-      if (static_cast<uint64_t>(ptr) + len > mem_.size()) {
+      if (static_cast<uint64_t>(ptr) + len > mem_size_) {
         RaiseFault("SYS_WRITE out of range");
         return;
       }
@@ -229,7 +260,7 @@ void Machine::DoSyscall(int32_t number, uint32_t* next_pc) {
     case kSysRead: {
       const uint32_t ptr = regs_[isa::kA0];
       const uint32_t len = regs_[isa::kA1];
-      if (static_cast<uint64_t>(ptr) + len > mem_.size()) {
+      if (static_cast<uint64_t>(ptr) + len > mem_size_) {
         RaiseFault("SYS_READ out of range");
         return;
       }
@@ -290,7 +321,7 @@ RunResult Machine::RunInterp(uint64_t max_instructions) {
 
   for (uint64_t executed = 0; executed < max_instructions; ++executed) {
     // --- Fetch ---
-    if (pc_ % 4 != 0 || static_cast<uint64_t>(pc_) + 4 > mem_.size() ||
+    if (pc_ % 4 != 0 || static_cast<uint64_t>(pc_) + 4 > mem_size_ ||
         pc_ < image::kNullGuardEnd) {
       return FaultHere("bad fetch address");
     }
@@ -300,7 +331,7 @@ RunResult Machine::RunInterp(uint64_t max_instructions) {
     if (fetch_observer_ != nullptr) fetch_observer_->OnFetch(pc_);
 
     uint32_t word = 0;
-    std::memcpy(&word, mem_.data() + pc_, 4);
+    std::memcpy(&word, mem_ + pc_, 4);
     // Decode through the cache; a trap handler may rewrite code mid-step, so
     // `in` is a copy, never a reference into the cache.
     DecodeEntry& entry = decode_cache_[(pc_ >> 2) & kDecodeCacheMask];
@@ -428,18 +459,18 @@ RunResult Machine::RunInterp(uint64_t max_instructions) {
         uint32_t value = 0;
         switch (in.op) {
           case Opcode::kLw: {
-            std::memcpy(&value, mem_.data() + paddr, 4);
+            std::memcpy(&value, mem_ + paddr, 4);
             break;
           }
           case Opcode::kLh: {
             int16_t v16 = 0;
-            std::memcpy(&v16, mem_.data() + paddr, 2);
+            std::memcpy(&v16, mem_ + paddr, 2);
             value = static_cast<uint32_t>(static_cast<int32_t>(v16));
             break;
           }
           case Opcode::kLhu: {
             uint16_t v16 = 0;
-            std::memcpy(&v16, mem_.data() + paddr, 2);
+            std::memcpy(&v16, mem_ + paddr, 2);
             value = v16;
             break;
           }
@@ -465,10 +496,10 @@ RunResult Machine::RunInterp(uint64_t max_instructions) {
         if (pending_stop_ != StopReason::kRunning) return MakeResult(pending_stop_);
         const uint32_t value = regs_[in.rd];
         switch (in.op) {
-          case Opcode::kSw: std::memcpy(mem_.data() + paddr, &value, 4); break;
+          case Opcode::kSw: std::memcpy(mem_ + paddr, &value, 4); break;
           case Opcode::kSh: {
             const uint16_t v16 = static_cast<uint16_t>(value);
-            std::memcpy(mem_.data() + paddr, &v16, 2);
+            std::memcpy(mem_ + paddr, &v16, 2);
             break;
           }
           case Opcode::kSb: mem_[paddr] = static_cast<uint8_t>(value); break;

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -116,10 +117,18 @@ enum Syscall : int32_t {
 
 class Machine {
  public:
+  // Guest memory is demand-zero: `mem_bytes` of private anonymous mapping
+  // that costs host RSS only for the pages actually written, followed by a
+  // PROT_NONE guard page so a host-side overrun faults in every build.
   explicit Machine(uint32_t mem_bytes = image::kDefaultMemBytes);
+  ~Machine();
+  Machine(const Machine&) = delete;
+  Machine& operator=(const Machine&) = delete;
 
-  // Copies the image's segments into memory, zeroes bss, sets PC to the
-  // entry point, SP to the stack top and the heap break past bss.
+  // Resets all of guest memory to zero (returning its pages to the kernel),
+  // copies the image's segments in, sets PC to the entry point, SP to the
+  // stack top and the heap break past bss. A reloaded Machine's memory reads
+  // exactly like a fresh one's.
   void LoadImage(const image::Image& img);
 
   // Executes until halt, fault, or `max_instructions` retired, on the
@@ -182,8 +191,8 @@ class Machine {
 
   // Raw memory access (bounds-checked; faults become SC_CHECK failures when
   // performed from the host side, architectural faults when from the guest).
-  uint8_t* mem_data() { return mem_.data(); }
-  uint32_t mem_size() const { return static_cast<uint32_t>(mem_.size()); }
+  uint8_t* mem_data() { return mem_; }
+  uint32_t mem_size() const { return mem_size_; }
   uint32_t ReadWord(uint32_t addr) const;
   void WriteWord(uint32_t addr, uint32_t value);
   void ReadBlock(uint32_t addr, void* out, uint32_t len) const;
@@ -309,7 +318,13 @@ class Machine {
 
   std::array<uint32_t, isa::kNumRegs> regs_{};
   uint32_t pc_ = 0;
-  std::vector<uint8_t> mem_;
+  // Flat guest memory: mem_[0, mem_size_) is the right-aligned tail of a
+  // private anonymous mapping whose last page is the PROT_NONE guard, so
+  // mem_ + mem_size_ is the first unmapped byte.
+  uint8_t* mem_ = nullptr;
+  uint32_t mem_size_ = 0;
+  void* map_base_ = nullptr;
+  size_t map_bytes_ = 0;  // including the guard page
   // Allocated lazily on the first Run() (a Machine used only as a memory
   // container pays nothing).
   std::vector<DecodeEntry> decode_cache_;

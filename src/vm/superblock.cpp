@@ -8,6 +8,8 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <new>
 
 #include "obs/trace.h"
 #include "util/check.h"
@@ -39,6 +41,28 @@ Engine DefaultEngine() {
     return Engine::kInterp;
   }();
   return engine;
+}
+
+SuperblockCache::~SuperblockCache() {
+  for (Superblock* sb : pool_) ::operator delete(sb, kSbBlockAlign);
+}
+
+Superblock* SuperblockCache::Publish(uint32_t start, uint32_t span,
+                                     const SbOp* ops, uint32_t n_ops) {
+  void* mem = ::operator new(sizeof(Superblock) + n_ops * sizeof(SbOp),
+                             kSbBlockAlign);
+  Superblock* sb = new (mem) Superblock;
+  sb->start = start;
+  sb->span = span;
+  sb->n_ops = n_ops;
+  sb->valid = true;
+  std::uninitialized_copy_n(ops, n_ops, sb->ops());
+  pool_.push_back(sb);
+  index_.Put(start, sb);
+  ++live_;
+  if (start < lo_) lo_ = start;
+  if (start + span > hi_) hi_ = start + span;
+  return sb;
 }
 
 bool SuperblockCache::Invalidate(uint32_t addr, uint32_t len, SbStats* stats) {
@@ -73,7 +97,7 @@ bool SuperblockCache::Invalidate(uint32_t addr, uint32_t len, SbStats* stats) {
 }
 
 void SuperblockCache::FlushMark(SbStats* stats) {
-  for (Superblock& sb : pool_) sb.valid = false;
+  for (Superblock* sb : pool_) sb->valid = false;
   live_ = 0;
   lo_ = UINT32_MAX;
   hi_ = 0;
@@ -96,7 +120,7 @@ uint64_t SbDigest(const Superblock& sb) {
   mix(sb.span);
   mix(sb.n_ops);
   for (uint32_t i = 0; i < sb.n_ops; ++i) {
-    const SbOp& op = sb.ops[i];
+    const SbOp& op = sb.ops()[i];
     mix(op.pc);
     mix(static_cast<uint32_t>(op.imm));
     mix(op.cost);
@@ -110,7 +134,8 @@ uint64_t SbDigest(const Superblock& sb) {
 uint32_t SuperblockCache::ScrubCorrupt(SbStats* stats,
                                        uint64_t* words_scanned) {
   uint32_t corrupt = 0;
-  for (Superblock& sb : pool_) {
+  for (Superblock* block : pool_) {
+    Superblock& sb = *block;
     if (!sb.valid) continue;
     if (words_scanned != nullptr) *words_scanned += sb.n_ops;
     if (sb.digest == SbDigest(sb)) continue;
@@ -127,13 +152,14 @@ uint32_t SuperblockCache::ScrubCorrupt(SbStats* stats,
 bool SuperblockCache::CorruptBit(util::Rng& rng) {
   if (live_ == 0) return false;
   uint64_t k = rng.Below(live_);
-  for (Superblock& sb : pool_) {
+  for (Superblock* block : pool_) {
+    Superblock& sb = *block;
     if (!sb.valid) continue;
     if (k > 0) {
       --k;
       continue;
     }
-    SbOp& op = sb.ops[rng.Below(sb.n_ops)];
+    SbOp& op = sb.ops()[rng.Below(sb.n_ops)];
     op.imm ^= static_cast<int32_t>(1u << rng.Below(32));
     return true;
   }
@@ -223,15 +249,15 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
     sb_interrupt_ = true;
     SyncSuperblockBounds();
   }
-  Superblock* sb = cache.NewBlock();
-  sb->start = start;
+  // Formed here at the maximum length, then published as an exact-size copy.
+  SbOp ops[kSbMaxOps + 1];  // +1 for the synthetic fallthrough terminator
   uint32_t pc = start;
   uint32_t n = 0;
   bool terminated = false;
   while (n < kSbMaxOps) {
     // The caller validated `start`; later pcs re-run the interpreter's fetch
     // checks here so execution never needs them.
-    if (pc % 4 != 0 || static_cast<uint64_t>(pc) + 4 > mem_.size() ||
+    if (pc % 4 != 0 || static_cast<uint64_t>(pc) + 4 > mem_size_ ||
         pc < image::kNullGuardEnd) {
       break;
     }
@@ -240,9 +266,9 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
     // word (it gets its own block), see the matching post-append cut below.
     if (!poison_.empty() && n > 0 && InPoison(pc)) break;
     uint32_t word = 0;
-    std::memcpy(&word, mem_.data() + pc, 4);
+    std::memcpy(&word, mem_ + pc, 4);
     const Instr in = isa::Decode(word);
-    SbOp& op = sb->ops[n++];
+    SbOp& op = ops[n++];
     op.pc = pc;
     op.rd = in.rd;
     op.rs1 = in.rs1;
@@ -346,20 +372,18 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
     // threaded engine dispatches them one at a time.
     if (!poison_.empty() && InPoison(op.pc)) break;
   }
-  sb->span = terminated ? pc - start : (n * 4);
+  const uint32_t span = terminated ? pc - start : (n * 4);
   if (!terminated) {
     // Cut at kSbMaxOps or at the edge of the fetchable range: a synthetic
     // zero-instruction terminator continues at `pc` (which, if invalid, the
     // dispatch loop faults on with the interpreter's exact message).
-    SbOp& op = sb->ops[n++];
-    op = SbOp{};
+    SbOp& op = ops[n++];
     op.pc = pc;
     op.kind = kSbFallthrough;
     op.handler = handlers != nullptr ? handlers[kSbFallthrough] : nullptr;
   }
-  sb->n_ops = n;
+  Superblock* sb = cache.Publish(start, span, ops, n);
   if (sb_integrity_) sb->digest = SbDigest(*sb);
-  cache.Publish(sb);
   SyncSuperblockBounds();
   ++sb_stats_.fills;
   sb_stats_.fill_ops += terminated ? n : n - 1;
@@ -467,7 +491,7 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
       Superblock* nxt = sb->taken;            \
       if (nxt != nullptr && nxt->valid) {     \
         sb = nxt;                             \
-        op = sb->ops;                         \
+        op = sb->ops();                       \
         SB_DISPATCH();                        \
       }                                       \
       pc_ = static_cast<uint32_t>(op->imm);   \
@@ -476,7 +500,7 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
       Superblock* nxt = sb->fall;             \
       if (nxt != nullptr && nxt->valid) {     \
         sb = nxt;                             \
-        op = sb->ops;                         \
+        op = sb->ops();                       \
         SB_DISPATCH();                        \
       }                                       \
       pc_ = op->pc + 4;                       \
@@ -497,7 +521,7 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
     const uint32_t vaddr = regs_[op->rs1] + static_cast<uint32_t>(op->imm); \
     if (data_hook_ == nullptr || vaddr < data_hook_lo_ ||                \
         vaddr >= data_hook_hi_) {                                        \
-      if (!DataAddrOk(vaddr, nbytes, mem_.size())) {                     \
+      if (!DataAddrOk(vaddr, nbytes, mem_size_)) {                       \
         pc_ = op->pc;                                                    \
         SB_FLUSH();                                                      \
         CheckDataAddr(vaddr, nbytes);                                    \
@@ -536,7 +560,7 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
     const uint32_t vaddr = regs_[op->rs1] + static_cast<uint32_t>(op->imm); \
     if (data_hook_ == nullptr || vaddr < data_hook_lo_ ||                \
         vaddr >= data_hook_hi_) {                                        \
-      if (!DataAddrOk(vaddr, nbytes, mem_.size())) {                     \
+      if (!DataAddrOk(vaddr, nbytes, mem_size_)) {                       \
         pc_ = op->pc;                                                    \
         SB_FLUSH();                                                      \
         CheckDataAddr(vaddr, nbytes);                                    \
@@ -590,7 +614,12 @@ inline bool DataAddrOk(uint32_t addr, uint32_t size, uint64_t mem_size) {
 
 }  // namespace
 
-RunResult Machine::RunThreaded(uint64_t max_instructions) {
+// Cache-line aligned so the loop's code layout does not depend on what the
+// linker places before it: with GCC's default 16-byte function alignment,
+// unrelated edits elsewhere in this file were measured to move solo_hot by
+// about 8%.
+[[gnu::aligned(64)]] RunResult Machine::RunThreaded(
+    uint64_t max_instructions) {
   if (pending_stop_ != StopReason::kRunning) return MakeResult(pending_stop_);
   if (sb_cache_ == nullptr) sb_cache_ = std::make_unique<SuperblockCache>();
 
@@ -636,7 +665,7 @@ outer:
     SyncSuperblockBounds();
   }
   if (remaining == 0) return MakeResult(StopReason::kInstrLimit);
-  if (pc_ % 4 != 0 || static_cast<uint64_t>(pc_) + 4 > mem_.size() ||
+  if (pc_ % 4 != 0 || static_cast<uint64_t>(pc_) + 4 > mem_size_ ||
       pc_ < image::kNullGuardEnd) {
     return FaultHere("bad fetch address");
   }
@@ -659,7 +688,7 @@ outer:
   }
   observer = fetch_observer_;
   SB_RELOAD();
-  op = sb->ops;
+  op = sb->ops();
   SB_DISPATCH();
 
 #if !SC_SB_COMPUTED_GOTO
@@ -763,17 +792,17 @@ dispatch:
 
     SB_LOAD(kSbLw, 4, {
       uint32_t value = 0;
-      std::memcpy(&value, mem_.data() + paddr, 4);
+      std::memcpy(&value, mem_ + paddr, 4);
       set_reg(op->rd, value);
     })
     SB_LOAD(kSbLh, 2, {
       int16_t v16 = 0;
-      std::memcpy(&v16, mem_.data() + paddr, 2);
+      std::memcpy(&v16, mem_ + paddr, 2);
       set_reg(op->rd, static_cast<uint32_t>(static_cast<int32_t>(v16)));
     })
     SB_LOAD(kSbLhu, 2, {
       uint16_t v16 = 0;
-      std::memcpy(&v16, mem_.data() + paddr, 2);
+      std::memcpy(&v16, mem_ + paddr, 2);
       set_reg(op->rd, v16);
     })
     SB_LOAD(kSbLb, 1, {
@@ -784,11 +813,11 @@ dispatch:
 
     SB_STORE(kSbSw, 4, {
       const uint32_t value = regs_[op->rd];
-      std::memcpy(mem_.data() + paddr, &value, 4);
+      std::memcpy(mem_ + paddr, &value, 4);
     })
     SB_STORE(kSbSh, 2, {
       const uint16_t v16 = static_cast<uint16_t>(regs_[op->rd]);
-      std::memcpy(mem_.data() + paddr, &v16, 2);
+      std::memcpy(mem_ + paddr, &v16, 2);
     })
     SB_STORE(kSbSb, 1, { mem_[paddr] = static_cast<uint8_t>(regs_[op->rd]); })
 
@@ -805,7 +834,7 @@ dispatch:
       Superblock* nxt = sb->taken;
       if (nxt != nullptr && nxt->valid) {
         sb = nxt;
-        op = sb->ops;
+        op = sb->ops();
         SB_DISPATCH();
       }
       pc_ = static_cast<uint32_t>(op->imm);
@@ -820,7 +849,7 @@ dispatch:
       Superblock* nxt = sb->taken;
       if (nxt != nullptr && nxt->valid) {
         sb = nxt;
-        op = sb->ops;
+        op = sb->ops();
         SB_DISPATCH();
       }
       pc_ = static_cast<uint32_t>(op->imm);
@@ -908,7 +937,7 @@ dispatch:
       Superblock* nxt = sb->fall;
       if (nxt != nullptr && nxt->valid) {
         sb = nxt;
-        op = sb->ops;
+        op = sb->ops();
         SB_DISPATCH();
       }
       pc_ = op->pc;

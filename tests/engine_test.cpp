@@ -331,6 +331,66 @@ TEST(EngineMechanics, FaultMessagesIdentical) {
   }
 }
 
+// A loop over superblocks of every length from 1 to kSbMaxOps (each ended by
+// a branch), plus a straight run long enough to be cut at kSbMaxOps twice
+// (synthetic fallthrough terminators). Blocks are stored exact-size, so any
+// read past a block's last op shows up under ASan.
+std::string EveryBlockLengthProgram() {
+  static const char* const kBody[] = {
+      "addi t0, t0, 3", "xor t1, t1, t0", "mul t2, t1, t0", "sw t2, 0(sp)",
+      "lw t3, 0(sp)",   "add t4, t4, t3", "slli t5, t4, 1", "sub t4, t4, t5",
+  };
+  std::string src = "_start:\n  li s0, 3\n  addi sp, sp, -16\n";
+  for (uint32_t len = 1; len <= vm::kSbMaxOps; ++len) {
+    src += "b" + std::to_string(len) + ":\n";
+    for (uint32_t k = 0; k + 1 < len; ++k) {
+      src += std::string("  ") + kBody[(len + k) % 8] + "\n";
+    }
+    src += "  beq zero, zero, b" + std::to_string(len + 1) + "\n";
+  }
+  src += "b" + std::to_string(vm::kSbMaxOps + 1) + ":\n";
+  for (uint32_t k = 0; k < 2 * vm::kSbMaxOps + 5; ++k) {
+    src += std::string("  ") + kBody[k % 8] + "\n";
+  }
+  src += "  addi s0, s0, -1\n  bne s0, zero, b1\n  mv a0, t4\n  sys 0\n";
+  return src;
+}
+
+TEST(EngineMechanics, EveryBlockLengthMatchesInterpreter) {
+  auto img = sasm::Assemble(EveryBlockLengthProgram());
+  ASSERT_TRUE(img.ok()) << img.error().ToString();
+  const EngineRun interp = RunNative(*img, {}, Engine::kInterp);
+  ASSERT_EQ(interp.result.reason, vm::StopReason::kHalted)
+      << interp.result.fault_message;
+
+  vm::Machine machine;
+  machine.set_engine(Engine::kThreaded);
+  machine.LoadImage(*img);
+  EngineRun threaded;
+  threaded.result = machine.Run();
+  threaded.output = machine.OutputString();
+  ExpectBitIdentical(interp, threaded, "every block length");
+
+  // Every length formed: 1..kSbMaxOps real ops ending in a branch, and a
+  // kSbMaxOps cut carrying the synthetic terminator as op kSbMaxOps + 1.
+  std::vector<bool> seen(vm::kSbMaxOps + 2, false);
+  bool cut_seen = false;
+  ASSERT_NE(machine.sb_cache(), nullptr);
+  machine.sb_cache()->ForEachLive(
+      [&](const vm::Superblock& sb, const vm::Superblock*,
+          const vm::Superblock*) {
+        ASSERT_LE(sb.n_ops, vm::kSbMaxOps + 1);
+        seen[sb.n_ops] = true;
+        if (sb.ops()[sb.n_ops - 1].kind == vm::kSbFallthrough) {
+          cut_seen = true;
+        }
+      });
+  for (uint32_t len = 1; len <= vm::kSbMaxOps + 1; ++len) {
+    EXPECT_TRUE(seen[len]) << "no live block of " << len << " ops";
+  }
+  EXPECT_TRUE(cut_seen);
+}
+
 // ---------------------------------------------------------------------------
 // Self-modifying code
 // ---------------------------------------------------------------------------

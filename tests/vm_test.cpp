@@ -1,9 +1,18 @@
 // VM semantics tests: per-opcode behaviour, faults, the cycle model,
-// syscalls, hook points and execution-range enforcement.
+// syscalls, hook points, execution-range enforcement and the demand-zero
+// guest memory behind them.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstring>
+#include <fstream>
+#include <memory>
+#include <vector>
+
+#include "image/layout.h"
 #include "sasm/assembler.h"
 #include "vm/machine.h"
+#include "workloads/workloads.h"
 
 namespace sc {
 namespace {
@@ -143,6 +152,100 @@ TEST(VmMemory, OutOfRangeFaults) {
   )");
   EXPECT_EQ(run->result.reason, vm::StopReason::kFault);
   EXPECT_NE(run->result.fault_message.find("out-of-range"), std::string::npos);
+}
+
+// Resident set size of this process, from /proc/self/statm.
+size_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  size_t total_pages = 0;
+  size_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+// Guest memory is demand-zero: a loaded but idle Machine holds only the
+// pages its image wrote, not its whole 18 MB address space.
+TEST(VmMemory, IdleMachinesCostOnlyTheirImage) {
+  const auto* spec = workloads::FindWorkload("dijkstra");
+  ASSERT_NE(spec, nullptr);
+  const image::Image img = workloads::CompileWorkload(*spec);
+  constexpr size_t kMachines = 64;
+  const size_t before = ResidentBytes();
+  std::vector<std::unique_ptr<vm::Machine>> machines;
+  for (size_t i = 0; i < kMachines; ++i) {
+    machines.push_back(std::make_unique<vm::Machine>());
+    machines.back()->LoadImage(img);
+  }
+  const size_t after = ResidentBytes();
+  const size_t grown = after > before ? after - before : 0;
+  EXPECT_LT(grown, kMachines << 20)
+      << "64 machines grew RSS by " << (grown >> 20) << " MB";
+}
+
+// LoadImage resets every page, so a reload cannot leak a previous run's
+// data, bss, heap, stack or local-memory bytes.
+TEST(VmMemory, ReloadReadsExactlyLikeAFreshMachine) {
+  auto img = sasm::Assemble(R"(
+    .data
+    d: .word 7, 8, 9
+    .bss
+    b: .space 64
+    .text
+    _start:
+      li t1, 0x5a5a
+      la t0, d
+      sw t1, 4(t0)       # data
+      la t0, b
+      sw t1, 32(t0)      # bss
+      li a0, 8192
+      sys 5              # sbrk(8192) -> old break
+      sw t1, 4096(rv)    # heap
+      addi sp, sp, -64
+      sw t1, 0(sp)       # stack
+      li a0, 0
+      sys 0
+  )");
+  ASSERT_TRUE(img.ok()) << img.error().ToString();
+  vm::Machine reloaded;
+  reloaded.LoadImage(*img);
+  ASSERT_EQ(reloaded.Run(1000).reason, vm::StopReason::kHalted);
+  reloaded.WriteWord(image::kLocalBase, 0xdeadbeef);  // host-side local memory
+  vm::Machine fresh;
+  fresh.LoadImage(*img);
+  ASSERT_EQ(reloaded.mem_size(), fresh.mem_size());
+  ASSERT_NE(std::memcmp(reloaded.mem_data(), fresh.mem_data(),
+                        fresh.mem_size()),
+            0);
+  const image::Symbol* d = img->FindSymbol("d");
+  const image::Symbol* b = img->FindSymbol("b");
+  ASSERT_NE(d, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_EQ(reloaded.ReadWord(d->addr + 4), 0x5a5au);
+  ASSERT_EQ(reloaded.ReadWord(b->addr + 32), 0x5a5au);
+
+  reloaded.LoadImage(*img);
+  EXPECT_EQ(std::memcmp(reloaded.mem_data(), fresh.mem_data(),
+                        fresh.mem_size()),
+            0);
+  EXPECT_EQ(reloaded.ReadWord(d->addr + 4), 8u);
+  EXPECT_EQ(reloaded.pc(), fresh.pc());
+  EXPECT_EQ(reloaded.reg(isa::kSp), fresh.reg(isa::kSp));
+}
+
+// A PROT_NONE page sits right after guest memory, so a host-side overrun
+// faults on its first byte in every build (ASan cannot see mmap'd memory).
+TEST(VmMemoryDeathTest, HostOverrunHitsGuardPage) {
+  for (const uint32_t mem_bytes :
+       {image::kDefaultMemBytes, image::kLocalLimit + 100}) {
+    EXPECT_DEATH(
+        {
+          vm::Machine machine(mem_bytes);
+          volatile uint8_t* end = machine.mem_data() + machine.mem_size();
+          end[0] = 1;
+        },
+        "")
+        << "mem_bytes=" << mem_bytes;
+  }
 }
 
 TEST(VmControl, JalLinksAndJalrReturns) {
