@@ -9,6 +9,13 @@
 // every engine row is SC_CHECKed bit-identical to the interpreter run
 // (output bytes, exit code, instructions, cycles) before its time counts.
 //
+// Modes: native, softcache (64 KB tcache: the hot set stays resident) and
+// softcache-thrash (2 KB tcache: the working set far exceeds it, so most
+// host time goes to the miss path, whose tcache writes invalidate
+// superblocks). Every row also records the threaded engine's superblock
+// fills and invalidations, which are deterministic like the guest counts
+// (zero under the interpreter).
+//
 // Flags:
 //   --smoke       one workload, one rep (CI crash check)
 //   --check       exit nonzero unless threaded beats interp on sha256
@@ -27,11 +34,13 @@ namespace {
 
 struct Row {
   std::string workload;
-  std::string mode;    // "native" | "softcache"
+  std::string mode;    // "native" | "softcache" | "softcache-thrash"
   std::string engine;  // "interp" | "threaded"
   uint64_t wall_ns = 0;  // best-of-reps, Run() only
   uint64_t instructions = 0;
   uint64_t cycles = 0;
+  uint64_t sb_fills = 0;
+  uint64_t sb_invalidations = 0;
   double mips = 0.0;  // guest instructions / host microsecond
 };
 
@@ -39,6 +48,7 @@ struct Timed {
   vm::RunResult result;
   std::string output;
   uint64_t wall_ns = 0;
+  vm::SbStats sb;
 };
 
 uint64_t NowNs() {
@@ -62,14 +72,16 @@ Timed RunNativeTimed(const image::Image& img, const std::vector<uint8_t>& input,
   t.result = machine.Run(16'000'000'000ull);
   t.wall_ns = NowNs() - t0;
   t.output = machine.OutputString();
+  t.sb = machine.sb_stats();
   return t;
 }
 
 Timed RunSoftcacheTimed(const image::Image& img,
-                        const std::vector<uint8_t>& input, vm::Engine engine) {
+                        const std::vector<uint8_t>& input, vm::Engine engine,
+                        uint32_t tcache_bytes) {
   softcache::SoftCacheConfig config;
   config.style = softcache::Style::kSparc;
-  config.tcache_bytes = 64 * 1024;
+  config.tcache_bytes = tcache_bytes;
   softcache::SoftCacheSystem system(img, config);
   system.machine().set_engine(engine);
   system.SetInput(input);
@@ -78,7 +90,18 @@ Timed RunSoftcacheTimed(const image::Image& img,
   t.result = system.Run(16'000'000'000ull);
   t.wall_ns = NowNs() - t0;
   t.output = system.OutputString();
+  t.sb = system.machine().sb_stats();
   return t;
+}
+
+Timed RunResidentTimed(const image::Image& img,
+                       const std::vector<uint8_t>& input, vm::Engine engine) {
+  return RunSoftcacheTimed(img, input, engine, 64 * 1024);
+}
+
+Timed RunThrashTimed(const image::Image& img,
+                     const std::vector<uint8_t>& input, vm::Engine engine) {
+  return RunSoftcacheTimed(img, input, engine, 2 * 1024);
 }
 
 void CheckIdentical(const Timed& interp, const Timed& threaded,
@@ -105,6 +128,8 @@ Row MakeRow(const std::string& workload, const char* mode, const char* engine,
   row.wall_ns = best.wall_ns;
   row.instructions = best.result.instructions;
   row.cycles = best.result.cycles;
+  row.sb_fills = best.sb.fills;
+  row.sb_invalidations = best.sb.invalidations;
   row.mips = best.wall_ns == 0
                  ? 0.0
                  : static_cast<double>(best.result.instructions) * 1000.0 /
@@ -122,11 +147,14 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
                  "    {\"workload\": \"%s\", \"mode\": \"%s\", "
                  "\"engine\": \"%s\", \"wall_ns\": %llu, "
                  "\"instructions\": %llu, \"cycles\": %llu, "
+                 "\"sb_fills\": %llu, \"sb_invalidations\": %llu, "
                  "\"mips\": %.2f}%s\n",
                  r.workload.c_str(), r.mode.c_str(), r.engine.c_str(),
                  static_cast<unsigned long long>(r.wall_ns),
                  static_cast<unsigned long long>(r.instructions),
-                 static_cast<unsigned long long>(r.cycles), r.mips,
+                 static_cast<unsigned long long>(r.cycles),
+                 static_cast<unsigned long long>(r.sb_fills),
+                 static_cast<unsigned long long>(r.sb_invalidations), r.mips,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -155,8 +183,9 @@ int main(int argc, char** argv) {
   const int scale = smoke ? 2 : 4;
   const int reps = smoke ? 1 : 3;
 
-  std::printf("%-10s %-9s %-8s %10s %10s %12s %8s\n", "workload", "mode",
-              "engine", "wall_ms", "speedup", "instrs", "mips");
+  std::printf("%-10s %-16s %-8s %10s %10s %12s %8s %10s\n", "workload",
+              "mode", "engine", "wall_ms", "speedup", "instrs", "mips",
+              "sb_inval");
   bench::PrintRule();
 
   std::vector<Row> rows;
@@ -172,7 +201,9 @@ int main(int argc, char** argv) {
       const char* mode;
       Timed (*run)(const image::Image&, const std::vector<uint8_t>&,
                    vm::Engine);
-    } modes[] = {{"native", RunNativeTimed}, {"softcache", RunSoftcacheTimed}};
+    } modes[] = {{"native", RunNativeTimed},
+                 {"softcache", RunResidentTimed},
+                 {"softcache-thrash", RunThrashTimed}};
 
     for (const auto& m : modes) {
       Timed interp_best, threaded_best;
@@ -192,13 +223,15 @@ int main(int argc, char** argv) {
       const double speedup = rt.wall_ns == 0 ? 0.0
                                              : static_cast<double>(ri.wall_ns) /
                                                    static_cast<double>(rt.wall_ns);
-      std::printf("%-10s %-9s %-8s %10.2f %10s %12llu %8.1f\n", name.c_str(),
-                  m.mode, "interp", static_cast<double>(ri.wall_ns) / 1e6, "",
+      std::printf("%-10s %-16s %-8s %10.2f %10s %12llu %8.1f\n",
+                  name.c_str(), m.mode, "interp",
+                  static_cast<double>(ri.wall_ns) / 1e6, "",
                   static_cast<unsigned long long>(ri.instructions), ri.mips);
-      std::printf("%-10s %-9s %-8s %10.2f %9.2fx %12llu %8.1f\n", name.c_str(),
-                  m.mode, "threaded", static_cast<double>(rt.wall_ns) / 1e6,
-                  speedup, static_cast<unsigned long long>(rt.instructions),
-                  rt.mips);
+      std::printf("%-10s %-16s %-8s %10.2f %9.2fx %12llu %8.1f %10llu\n",
+                  name.c_str(), m.mode, "threaded",
+                  static_cast<double>(rt.wall_ns) / 1e6, speedup,
+                  static_cast<unsigned long long>(rt.instructions), rt.mips,
+                  static_cast<unsigned long long>(rt.sb_invalidations));
       if (std::strcmp(m.mode, "native") == 0) {
         if (name == "sha256") sha256_speedup = speedup;
         if (name == "cjpeg") cjpeg_speedup = speedup;

@@ -488,8 +488,18 @@ CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
   if (slots >= 2) block.slot_b = tc + (body_words + 1) * 4;
   uint32_t next_mid_slot = tc + (body_words + slots) * 4;
 
-  // Install body words; the terminator (last word) is rewritten to point at
-  // the exit slots, and mid-chunk side-exit branches at their miss slots.
+  // Every word of the block (body, exit slots, mid-chunk slots) is built in
+  // install_words_ and written with one WriteBlock, so the machine
+  // invalidates the range once instead of once per word. The block joins
+  // blocks_ only at the end, so no digest needs restamping on the way.
+  std::vector<uint32_t>& words = install_words_;
+  words.assign(total_bytes / 4, 0);
+  const auto word_at = [&words, tc](uint32_t addr) -> uint32_t& {
+    return words[(addr - tc) / 4];
+  };
+
+  // Body words; the terminator (last word) is rewritten to point at the
+  // exit slots, and mid-chunk side-exit branches at their miss slots.
   for (uint32_t i = 0; i < body_words; ++i) {
     uint32_t word = chunk.words[i];
     const uint32_t addr = tc + i * 4;
@@ -500,10 +510,10 @@ CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
       const uint32_t slot = next_mid_slot;
       next_mid_slot += 4;
       in.imm = isa::OffsetFor(addr, slot);
-      machine_.WriteWord(addr, isa::Encode(in));
+      word_at(addr) = isa::Encode(in);
       const uint32_t stub = NewStub(StubInfo{true, taken_orig, addr,
                                              PatchKind::kBranch16, slot, block.id});
-      WriteStubWord(slot, stub);
+      word_at(slot) = isa::EncTcMiss(stub);
       block.own_stubs.emplace_back(stub, stubs_[stub].generation);
       block.mid_slots.emplace_back(slot, taken_orig);
       continue;
@@ -534,7 +544,7 @@ CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
           break;  // kNone keeps the return/halt; kFallthrough has no terminator
       }
     }
-    machine_.WriteWord(addr, word);
+    word_at(addr) = word;
   }
 
   // Exit slot A: fallthrough / continuation / folded-jump target.
@@ -544,7 +554,7 @@ CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
                                 : chunk.fall_target;
     const uint32_t stub = NewStub(StubInfo{true, target, block.slot_a,
                                            PatchKind::kSlot, block.slot_a, block.id});
-    WriteStubWord(block.slot_a, stub);
+    word_at(block.slot_a) = isa::EncTcMiss(stub);
     block.own_stubs.emplace_back(stub, stubs_[stub].generation);
   }
   // Exit slot B: taken target / callee.
@@ -554,9 +564,10 @@ CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
                                                          : PatchKind::kBranch16;
     const uint32_t stub = NewStub(StubInfo{true, chunk.taken_target, term_addr,
                                            kind, block.slot_b, block.id});
-    WriteStubWord(block.slot_b, stub);
+    word_at(block.slot_b) = isa::EncTcMiss(stub);
     block.own_stubs.emplace_back(stub, stubs_[stub].generation);
   }
+  machine_.WriteBlock(tc, words.data(), total_bytes);
 
   const uint32_t tc_addr = block.tc_addr;
   const uint64_t id = block.id;
@@ -636,7 +647,16 @@ CacheController::Block* CacheController::InstallArm(const Chunk& chunk) {
   // EvictBlock stays symmetric.
   stats_.extra_words_live += blk.slot_words;
 
-  // Pass 2: emit.
+  // Pass 2: emit into install_words_, written with one WriteBlock at the
+  // end (see InstallSparc). The buffer starts as a copy of the range, so a
+  // rollback that writes it back leaves memory exactly as word-by-word
+  // emission would have.
+  std::vector<uint32_t>& words = install_words_;
+  words.resize(total_bytes / 4);
+  machine_.ReadBlock(tc, words.data(), total_bytes);
+  const auto word_at = [&words, tc](uint32_t addr) -> uint32_t& {
+    return words[(addr - tc) / 4];
+  };
   uint32_t next_slot = tc + body_tc_words * 4;
   for (uint32_t i = 0; i < orig_words; ++i) {
     const uint32_t orig_pc = chunk.orig_addr + i * 4;
@@ -651,7 +671,7 @@ CacheController::Block* CacheController::InstallArm(const Chunk& chunk) {
       const uint32_t target_tc = tc + blk.index_map[(target_orig - chunk.orig_addr) / 4] * 4;
       Instr patched = in;
       patched.imm = isa::OffsetFor(tc_pc, target_tc);
-      machine_.WriteWord(tc_pc, isa::Encode(patched));
+      word_at(tc_pc) = isa::Encode(patched);
       continue;
     }
     if (in.op == Opcode::kJal) {
@@ -666,38 +686,40 @@ CacheController::Block* CacheController::InstallArm(const Chunk& chunk) {
         // unwind the registration, the stubs and cell edges created so far.
         // EvictBlock does exactly that unwinding; it just is not an
         // eviction, so take its statistics back.
+        machine_.WriteBlock(tc, words.data(), total_bytes);
         EvictBlock(blk.id);
         --stats_.evictions;
         stats_.eviction_timeline.RemoveLast(machine_.cycles());
         return nullptr;
       }
-      machine_.WriteWord(tc_pc, isa::EncI(Opcode::kLui, isa::kRa, 0,
-                                          static_cast<int32_t>(cell >> 16)));
-      machine_.WriteWord(tc_pc + 4, isa::EncI(Opcode::kOri, isa::kRa, isa::kRa,
-                                              static_cast<int32_t>(cell & 0xffff)));
+      word_at(tc_pc) = isa::EncI(Opcode::kLui, isa::kRa, 0,
+                                 static_cast<int32_t>(cell >> 16));
+      word_at(tc_pc + 4) = isa::EncI(Opcode::kOri, isa::kRa, isa::kRa,
+                                     static_cast<int32_t>(cell & 0xffff));
       const uint32_t jump_addr = tc_pc + 8;
       const uint32_t slot = next_slot;
       next_slot += 4;
       if (callee_orig == chunk.orig_addr) {
         // Self-recursion: the callee is this very procedure — link directly.
-        machine_.WriteWord(jump_addr, isa::EncJ(Opcode::kJ, isa::OffsetFor(jump_addr, tc)));
+        word_at(jump_addr) = isa::EncJ(Opcode::kJ, isa::OffsetFor(jump_addr, tc));
         blk.in_edges.push_back(InEdge{blk.id, jump_addr, PatchKind::kJump26,
                                       slot, callee_orig});
         blk.out_edges.emplace_back(blk.id, jump_addr);
         // The slot stays dead until the self-edge is unlinked (never — the
         // block dies with it), but keep the layout uniform.
-        machine_.WriteWord(slot, isa::EncNop());
+        word_at(slot) = isa::EncNop();
       } else {
         const uint32_t stub = NewStub(StubInfo{true, callee_orig, jump_addr,
                                                PatchKind::kJump26, slot, blk.id});
-        WriteStubWord(slot, stub);
-        machine_.WriteWord(jump_addr, isa::EncJ(Opcode::kJ, isa::OffsetFor(jump_addr, slot)));
+        word_at(slot) = isa::EncTcMiss(stub);
+        word_at(jump_addr) = isa::EncJ(Opcode::kJ, isa::OffsetFor(jump_addr, slot));
         blk.own_stubs.emplace_back(stub, stubs_[stub].generation);
       }
       continue;
     }
-    machine_.WriteWord(tc_pc, word);
+    word_at(tc_pc) = word;
   }
+  machine_.WriteBlock(tc, words.data(), total_bytes);
   // Each call site also adds two ra-setup words beyond the original code.
   return &blk;
 }

@@ -392,6 +392,9 @@ class CacheController : public vm::TrapHandler {
   std::map<uint32_t, uint64_t> by_orig_;
   std::vector<StubInfo> stubs_;
   std::vector<uint32_t> free_stub_ids_;
+  // The block being installed, word by word, before its single WriteBlock
+  // (kept as a member so installs reuse one allocation).
+  std::vector<uint32_t> install_words_;
   uint64_t stub_generation_ = 0;
   // orig -> cell addr; sized from the cell region (one word per cell).
   util::OpenTable<uint32_t, uint32_t> cell_for_orig_;

@@ -324,9 +324,9 @@ class McServer {
     util::OpenTable<uint32_t, uint32_t> heat{256};
     // This shard's memo fault stream (null = no injection configured).
     std::unique_ptr<MemFaultInjector> inj;
-    // Service-time spread: one bucket per ~8 us up to 1 ms; memo hits land
-    // in the first bucket, cold cuts spread out, outliers clamp.
-    util::Histogram service_ns{0, 1e6, 128};
+    // Service-time spread in host ns, log2 buckets: sub-microsecond memo
+    // hits and millisecond cold cuts both resolve to a factor of two.
+    util::Histogram service_ns = util::Histogram::Log2(util::kHostNsBuckets);
     uint64_t translates = 0;
     uint64_t memo_hits = 0;
   };

@@ -29,9 +29,9 @@ McServerLoop::McServerLoop(PortHandler handler, LaneRouter router,
       worker_stats_(config.workers),
       worker_lanes_(config.workers, nullptr),
       // Queue waits are host time: sub-microsecond uncontended, tens of
-      // microseconds when many client threads arrive at once. One bucket
-      // per 8 us to 1 ms; slower outliers clamp into the last bucket.
-      queue_wait_ns_(0, 1e6, 128) {
+      // microseconds when many client threads arrive at once, milliseconds
+      // under steal. Log2 buckets resolve all of them to a factor of two.
+      queue_wait_ns_(util::Histogram::Log2(util::kHostNsBuckets)) {
   SC_CHECK(handler_ != nullptr) << "McServerLoop needs a port handler";
   threads_.reserve(config.workers);
   for (uint32_t w = 0; w < config.workers; ++w) {

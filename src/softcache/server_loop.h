@@ -82,7 +82,8 @@ struct McServerLoopStats {
 struct McWorkerStats {
   uint64_t frames = 0;   // tickets this worker serviced
   uint64_t busy_ns = 0;  // host ns spent inside the handler
-  util::Histogram busy_hist_ns{0, 1e6, 128};  // the same time, per ticket
+  // The same time, per ticket (log2 buckets, see util::kHostNsBuckets).
+  util::Histogram busy_hist_ns = util::Histogram::Log2(util::kHostNsBuckets);
 };
 
 // How the loop's queues and threads are shaped. The default reproduces the

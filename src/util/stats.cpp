@@ -50,7 +50,21 @@ Histogram::Histogram(double lo, double hi, int buckets) : lo_(lo), hi_(hi) {
   counts_.resize(static_cast<size_t>(buckets), 0);
 }
 
+Histogram Histogram::Log2(int buckets) {
+  Histogram hist(0.0, std::ldexp(1.0, buckets - 1), buckets);
+  hist.log2_ = true;
+  return hist;
+}
+
 void Histogram::Add(double x) {
+  if (log2_) {
+    const int last = static_cast<int>(counts_.size()) - 1;
+    // NaN and everything below 1 land in bucket 0.
+    const int i = !(x >= 1.0) ? 0 : x >= hi_ ? last : std::ilogb(x) + 1;
+    ++counts_[static_cast<size_t>(i)];
+    ++total_;
+    return;
+  }
   const double span = hi_ - lo_;
   int i = static_cast<int>((x - lo_) / span * static_cast<double>(counts_.size()));
   i = std::clamp(i, 0, static_cast<int>(counts_.size()) - 1);
@@ -59,6 +73,7 @@ void Histogram::Add(double x) {
 }
 
 double Histogram::bucket_low(int i) const {
+  if (log2_) return i == 0 ? 0.0 : std::ldexp(1.0, i - 1);
   return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
 }
 
@@ -77,6 +92,10 @@ double Histogram::Percentile(double p) const {
           std::clamp((rank - static_cast<double>(cumulative)) /
                          static_cast<double>(count),
                      0.0, 1.0);
+      if (log2_) {
+        const double low = bucket_low(static_cast<int>(i));
+        return low + (std::ldexp(1.0, static_cast<int>(i)) - low) * into;
+      }
       return lo_ + width * (static_cast<double>(i) + into);
     }
     cumulative += count;

@@ -29,11 +29,17 @@ class Accumulator {
   double sum_ = 0;
 };
 
-// Fixed-bucket histogram over [lo, hi); out-of-range samples clamp to the
-// first/last bucket. Used for eviction-rate timelines and latency spreads.
+// Fixed-bucket histogram; out-of-range samples clamp to the first/last
+// bucket. Used for eviction-rate timelines and latency spreads. Buckets are
+// equal-width over [lo, hi), or powers of two (Log2) for quantities that
+// span decades, such as host nanoseconds.
 class Histogram {
  public:
   Histogram(double lo, double hi, int buckets);
+  // Bucket 0 holds [0, 1) and bucket i >= 1 holds [2^(i-1), 2^i); the last
+  // bucket also takes everything above. Every estimate is good to a factor
+  // of two, from one unit up to 2^(buckets-2).
+  static Histogram Log2(int buckets);
 
   void Add(double x);
   uint64_t bucket_count(int i) const { return counts_.at(i); }
@@ -52,10 +58,16 @@ class Histogram {
 
  private:
   double lo_;
-  double hi_;
+  double hi_;  // Log2: the last bucket's upper edge, 2^(buckets-1)
+  bool log2_ = false;
   std::vector<uint64_t> counts_;
   uint64_t total_ = 0;
 };
+
+// Log2 buckets for host-time histograms in nanoseconds: sub-microsecond
+// service times and multi-millisecond stalls both resolve to a factor of
+// two; only samples past 2^38 ns (about 275 s) clamp.
+inline constexpr int kHostNsBuckets = 40;
 
 // Formats n with thousands separators ("12,345,678") for report tables.
 std::string WithCommas(uint64_t n);

@@ -307,8 +307,11 @@ void Machine::DoSyscall(int32_t number, uint32_t* next_pc) {
 }
 
 RunResult Machine::Run(uint64_t max_instructions) {
-  return engine_ == Engine::kThreaded ? RunThreaded(max_instructions)
-                                      : RunInterp(max_instructions);
+  if (engine_ != Engine::kThreaded) return RunInterp(max_instructions);
+  // Built here, not in RunThreaded: inlined there, the constructor's code
+  // shifted the dispatch loop's layout (INTERNALS.md §9).
+  if (sb_cache_ == nullptr) sb_cache_ = std::make_unique<SuperblockCache>();
+  return RunThreaded(max_instructions);
 }
 
 RunResult Machine::RunInterp(uint64_t max_instructions) {

@@ -6,6 +6,8 @@
 // bit-identical behavior against the interpreter on every workload, random
 // programs, and self-modifying code.
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -57,12 +59,41 @@ Superblock* SuperblockCache::Publish(uint32_t start, uint32_t span,
   sb->n_ops = n_ops;
   sb->valid = true;
   std::uninitialized_copy_n(ops, n_ops, sb->ops());
+  // An empty pool means Reclaim ran (or nothing was ever published): the
+  // masks may still name the blocks it freed.
+  if (pool_.empty()) ClearLineStarts();
   pool_.push_back(sb);
   index_.Put(start, sb);
+  MarkStart(start);
   ++live_;
   if (start < lo_) lo_ = start;
   if (start + span > hi_) hi_ = start + span;
   return sb;
+}
+
+void SuperblockCache::MarkStart(uint32_t start) {
+  const uint32_t line = start / kSbMaxBytes;
+  if (line_starts_.empty()) {
+    line_base_ = line;
+    line_starts_.push_back(0);
+  } else if (line < line_base_) {
+    line_starts_.insert(line_starts_.begin(), line_base_ - line, 0u);
+    line_base_ = line;
+  } else if (line - line_base_ >= line_starts_.size()) {
+    line_starts_.resize(line - line_base_ + 1, 0u);
+  }
+  line_starts_[line - line_base_] |= 1u << (start % kSbMaxBytes / 4);
+}
+
+void SuperblockCache::Kill(Superblock* sb, SbStats* stats) {
+  sb->valid = false;
+  index_.Erase(sb->start);
+  // In range: MarkStart put this live block's bit in the window, which
+  // never shrinks.
+  line_starts_[sb->start / kSbMaxBytes - line_base_] &=
+      ~(1u << (sb->start % kSbMaxBytes / 4));
+  --live_;
+  ++stats->invalidations;
 }
 
 bool SuperblockCache::Invalidate(uint32_t addr, uint32_t len, SbStats* stats) {
@@ -74,23 +105,33 @@ bool SuperblockCache::Invalidate(uint32_t addr, uint32_t len, SbStats* stats) {
     FlushMark(stats);
     return true;
   }
-  // A block overlaps [addr, end) iff its start lies in (addr - kSbMaxBytes,
-  // end) and start + span > addr; scan that bounded window of possible
-  // starts against the index.
-  bool any = false;
-  const uint32_t first =
+  // A block overlaps [addr, end) iff its start lies in [first, end) and
+  // start + span > addr, where first is the lowest word start a
+  // kSbMaxBytes-span block could reach addr from. Walk the live starts of
+  // that window line by line.
+  const uint64_t first =
       addr > kSbMaxBytes - 4 ? (addr - (kSbMaxBytes - 4)) & ~3u : 0;
-  for (uint64_t a = first; a < end; a += 4) {
-    const uint32_t start = static_cast<uint32_t>(a);
-    Superblock** p = index_.Find(start);
-    if (p == nullptr) continue;
-    Superblock* sb = *p;
-    if (!sb->valid || sb->start + sb->span <= addr) continue;
-    sb->valid = false;
-    index_.Erase(start);
-    --live_;
-    ++stats->invalidations;
-    any = true;
+  const uint64_t window_end =
+      (line_base_ + static_cast<uint64_t>(line_starts_.size())) * kSbMaxBytes;
+  const uint64_t lo_line = std::max<uint64_t>(first / kSbMaxBytes, line_base_);
+  const uint64_t stop = std::min(end, window_end);
+  bool any = false;
+  for (uint64_t line = lo_line; line * kSbMaxBytes < stop; ++line) {
+    const uint64_t base = line * kSbMaxBytes;
+    uint32_t starts = line_starts_[line - line_base_];
+    if (first > base) starts &= ~0u << ((first - base) / 4);
+    if (end < base + kSbMaxBytes) {
+      // Keep the words strictly below `end`.
+      starts &= static_cast<uint32_t>((uint64_t{1} << ((end - base + 3) / 4)) - 1);
+    }
+    while (starts != 0) {
+      const uint32_t word = static_cast<uint32_t>(std::countr_zero(starts));
+      starts &= starts - 1;
+      Superblock* sb = *index_.Find(static_cast<uint32_t>(base) + word * 4);
+      if (sb->start + sb->span <= addr) continue;
+      Kill(sb, stats);
+      any = true;
+    }
   }
   if (any) OBS_INSTANT("vm", "sb.invalidate", "addr", addr);
   return any;
@@ -101,6 +142,7 @@ void SuperblockCache::FlushMark(SbStats* stats) {
   live_ = 0;
   lo_ = UINT32_MAX;
   hi_ = 0;
+  ClearLineStarts();
   reclaim_pending_ = true;
   ++stats->flushes;
   OBS_INSTANT("vm", "sb.invalidate", "addr", 0);
@@ -139,10 +181,7 @@ uint32_t SuperblockCache::ScrubCorrupt(SbStats* stats,
     if (!sb.valid) continue;
     if (words_scanned != nullptr) *words_scanned += sb.n_ops;
     if (sb.digest == SbDigest(sb)) continue;
-    sb.valid = false;
-    index_.Erase(sb.start);
-    --live_;
-    ++stats->invalidations;
+    Kill(&sb, stats);
     ++corrupt;
   }
   if (corrupt > 0) OBS_INSTANT("vm", "sb.scrub_kill", "blocks", corrupt);
@@ -621,7 +660,6 @@ inline bool DataAddrOk(uint32_t addr, uint32_t size, uint64_t mem_size) {
 [[gnu::aligned(64)]] RunResult Machine::RunThreaded(
     uint64_t max_instructions) {
   if (pending_stop_ != StopReason::kRunning) return MakeResult(pending_stop_);
-  if (sb_cache_ == nullptr) sb_cache_ = std::make_unique<SuperblockCache>();
 
 #if SC_SB_COMPUTED_GOTO
   // Label-address table, indexed by SbKind (same order as the enum).

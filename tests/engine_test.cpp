@@ -6,6 +6,8 @@
 // This file is the permanent form of the engine's correctness proof.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -16,7 +18,9 @@
 #include "sasm/assembler.h"
 #include "softcache/system.h"
 #include "tests/program_gen.h"
+#include "util/rng.h"
 #include "vm/machine.h"
+#include "vm/superblock.h"
 #include "workloads/workloads.h"
 
 namespace sc {
@@ -554,6 +558,229 @@ TEST(EngineSmc, SysReadIntoTextInvalidates) {
       << interp.result.fault_message;
   EXPECT_EQ(interp.result.exit_code, 9);
   ExpectBitIdentical(interp, threaded, "sys_read patch");
+}
+
+// ---------------------------------------------------------------------------
+// SuperblockCache::Invalidate against a brute-force oracle
+// ---------------------------------------------------------------------------
+
+// Drives a SuperblockCache and a plain model of it side by side. The model
+// kills exactly the live blocks with start < end && start + span > addr (or
+// flushes when the write covers the whole [lo, hi) bound), so any start the
+// line masks miss or keep stale shows up as a diverging kill set.
+class InvalidateOracle {
+ public:
+  void Publish(uint32_t start, uint32_t span) {
+    ASSERT_EQ(start % 4, 0u);
+    ASSERT_GE(span, 4u);
+    ASSERT_LE(span, vm::kSbMaxBytes);
+    ASSERT_EQ(live_.count(start), 0u) << "test publishes over a live block";
+    std::vector<vm::SbOp> ops(span / 4);
+    for (uint32_t i = 0; i < ops.size(); ++i) ops[i].pc = start + 4 * i;
+    vm::Superblock* sb = cache_.Publish(start, span, ops.data(),
+                                        static_cast<uint32_t>(ops.size()));
+    sb->digest = vm::SbDigest(*sb);
+    live_[start] = sb;
+    lo_ = std::min(lo_, start);
+    hi_ = std::max(hi_, start + span);
+  }
+
+  void Invalidate(uint32_t addr, uint32_t len) {
+    const uint64_t end = static_cast<uint64_t>(addr) + len;
+    std::vector<vm::Superblock*> expect_dead;
+    for (const auto& [start, sb] : live_) {
+      if (start < end && start + sb->span > addr) expect_dead.push_back(sb);
+    }
+    const bool flush = !live_.empty() && addr <= lo_ && end >= hi_;
+    const bool any = cache_.Invalidate(addr, len, &stats_);
+    SCOPED_TRACE(::testing::Message() << "Invalidate(" << addr << ", " << len
+                                      << ")");
+    EXPECT_EQ(any, !expect_dead.empty());
+    if (flush) {
+      ++flushes_;
+      for (const auto& [start, sb] : live_) EXPECT_FALSE(sb->valid) << start;
+      Forget();
+      reclaim_pending_ = true;
+    } else {
+      invalidations_ += expect_dead.size();
+      for (vm::Superblock* sb : expect_dead) {
+        EXPECT_FALSE(sb->valid) << sb->start;
+        live_.erase(sb->start);
+      }
+    }
+    Check();
+  }
+
+  void FlushMark() {
+    cache_.FlushMark(&stats_);
+    ++flushes_;
+    for (const auto& [start, sb] : live_) EXPECT_FALSE(sb->valid) << start;
+    Forget();
+    reclaim_pending_ = true;
+    Check();
+  }
+
+  // Frees the pool; only legal while a flush is pending, as in the engine.
+  void Reclaim() {
+    if (!cache_.reclaim_pending()) return;
+    cache_.Reclaim();
+    Forget();
+    reclaim_pending_ = false;
+    Check();
+  }
+
+  // Corrupts one live block's decoded form and scrubs: exactly that block
+  // dies, counted as an invalidation; its start bit must not outlive it.
+  void ScrubOne(uint64_t pick) {
+    if (live_.empty()) return;
+    auto it = live_.begin();
+    std::advance(it, static_cast<long>(pick % live_.size()));
+    vm::Superblock* sb = it->second;
+    sb->ops()[0].imm ^= 1;
+    uint64_t scanned = 0;
+    EXPECT_EQ(cache_.ScrubCorrupt(&stats_, &scanned), 1u);
+    EXPECT_FALSE(sb->valid);
+    ++invalidations_;
+    live_.erase(it);
+    Check();
+  }
+
+  void Check() {
+    EXPECT_EQ(cache_.live_blocks(), live_.size());
+    EXPECT_EQ(cache_.lo(), live_.empty() ? UINT32_MAX : lo_);
+    EXPECT_EQ(cache_.hi(), live_.empty() ? 0u : hi_);
+    EXPECT_EQ(stats_.invalidations, invalidations_);
+    EXPECT_EQ(stats_.flushes, flushes_);
+    EXPECT_EQ(cache_.reclaim_pending(), reclaim_pending_);
+    for (const auto& [start, sb] : live_) {
+      EXPECT_TRUE(sb->valid) << start;
+      EXPECT_EQ(cache_.Find(start), sb) << start;
+    }
+  }
+
+  bool IsLive(uint32_t start) const { return live_.count(start) != 0; }
+  size_t live() const { return live_.size(); }
+  uint32_t lo() const { return lo_; }
+  uint32_t hi() const { return hi_; }
+  uint64_t invalidations() const { return stats_.invalidations; }
+
+ private:
+  // Drops every model block (dead after a flush, freed after a reclaim)
+  // and resets the bounds, which only a flush or reclaim shrinks.
+  void Forget() {
+    live_.clear();
+    lo_ = UINT32_MAX;
+    hi_ = 0;
+  }
+
+  vm::SuperblockCache cache_;
+  vm::SbStats stats_;
+  std::map<uint32_t, vm::Superblock*> live_;  // start -> live block
+  uint32_t lo_ = UINT32_MAX;
+  uint32_t hi_ = 0;
+  uint64_t invalidations_ = 0;
+  uint64_t flushes_ = 0;
+  bool reclaim_pending_ = false;
+};
+
+TEST(SuperblockInvalidate, DirectedEdgeCases) {
+  constexpr uint32_t kLine = vm::kSbMaxBytes;
+  InvalidateOracle o;
+  // Blocks below kSbMaxBytes, where the candidate window clamps at 0.
+  o.Publish(0, 8);
+  o.Publish(8, kLine);
+  o.Publish(3 * kLine - 8, 16);  // straddles a line boundary
+  o.Publish(3 * kLine + 4, 4);
+  o.Publish(10 * kLine, 4);      // keeps the writes below off [lo, hi)
+  o.Invalidate(2, 1);            // addr < kSbMaxBytes, hits block 0 only
+  EXPECT_FALSE(o.IsLive(0));
+  EXPECT_TRUE(o.IsLive(8));
+  o.Invalidate(8 + kLine - 1, 1);  // last byte of a full-span block
+  EXPECT_FALSE(o.IsLive(8));
+  o.Invalidate(3 * kLine - 1, 2);  // a write straddling two lines
+  EXPECT_FALSE(o.IsLive(3 * kLine - 8));
+  EXPECT_TRUE(o.IsLive(3 * kLine + 4));
+  o.Invalidate(3 * kLine + 8, 4);  // just past a block: nothing dies
+  EXPECT_TRUE(o.IsLive(3 * kLine + 4));
+  // Re-publish at starts whose blocks died.
+  o.Publish(0, 4);
+  o.Publish(8, 12);
+  o.Invalidate(4, 4);  // between them: nothing dies
+  o.Invalidate(0, 12);
+  EXPECT_EQ(o.live(), 2u);
+  // A start left by ScrubCorrupt: the corrupt block dies, a new block at the
+  // same start is found again, and a write over the old start kills only
+  // the live one.
+  o.ScrubOne(0);  // the block at 3 * kLine + 4 (lowest live start)
+  EXPECT_FALSE(o.IsLive(3 * kLine + 4));
+  o.Invalidate(3 * kLine + 4, 4);
+  o.Publish(3 * kLine + 4, 8);
+  o.Invalidate(3 * kLine, 8);
+  EXPECT_FALSE(o.IsLive(3 * kLine + 4));
+  // A write covering the whole [lo, hi) range flushes rather than counting
+  // invalidations.
+  o.Publish(5 * kLine, 4);
+  const uint64_t before = o.invalidations();
+  o.Invalidate(o.lo(), o.hi() - o.lo());
+  EXPECT_EQ(o.invalidations(), before);
+  // Publishing before the pending reclaim, then reclaiming: the freed
+  // block's start must not resurface after the next publish.
+  o.Publish(2 * kLine, 4);
+  o.Reclaim();
+  o.Publish(7 * kLine, 4);
+  o.Publish(kLine, 4);  // grows the mask window downwards
+  o.Invalidate(2 * kLine, 4);
+  o.Invalidate(kLine, 1);
+  EXPECT_EQ(o.live(), 1u);
+}
+
+TEST(SuperblockInvalidate, RandomSequencesMatchBruteForceOracle) {
+  constexpr uint32_t kLine = vm::kSbMaxBytes;
+  // Two regions, so the mask window grows both ways and a write between
+  // them sees only absent lines.
+  constexpr uint32_t kRegions[] = {0, 64 * kLine};
+  constexpr uint32_t kRegionBytes = 12 * kLine;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    util::Rng rng(seed);
+    InvalidateOracle o;
+    const auto pick_addr = [&] {
+      return kRegions[rng.Below(2)] + static_cast<uint32_t>(rng.Below(kRegionBytes));
+    };
+    for (int step = 0; step < 3000; ++step) {
+      const uint64_t op = rng.Below(100);
+      if (op < 45) {
+        const uint32_t start = pick_addr() & ~3u;
+        if (o.IsLive(start)) continue;
+        o.Publish(start, 4 * (1 + static_cast<uint32_t>(rng.Below(32))));
+      } else if (op < 85) {
+        const uint64_t shape = rng.Below(5);
+        if (shape == 0) {
+          // Line-straddling word.
+          const uint32_t line = kRegions[rng.Below(2)] / kLine +
+                                1 + static_cast<uint32_t>(rng.Below(11));
+          o.Invalidate(line * kLine - 1 - static_cast<uint32_t>(rng.Below(3)), 4);
+        } else if (shape == 1 && o.live() > 0) {
+          // Around the whole [lo, hi) range.
+          const uint32_t lo = o.lo() - std::min(o.lo(), static_cast<uint32_t>(rng.Below(8)));
+          o.Invalidate(lo, o.hi() - lo + static_cast<uint32_t>(rng.Below(8)));
+        } else if (shape == 2) {
+          o.Invalidate(pick_addr(), 1 + static_cast<uint32_t>(rng.Below(600)));
+        } else {
+          // The common case: a byte, halfword or word store.
+          const uint32_t len = 1u << rng.Below(3);
+          o.Invalidate(pick_addr() & ~(len - 1), len);
+        }
+      } else if (op < 90) {
+        o.ScrubOne(rng.Next64());
+      } else if (op < 93) {
+        o.FlushMark();
+      } else {
+        o.Reclaim();
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 // histograms, formatting helpers, Result/Error plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <set>
+#include <vector>
 
 #include "util/result.h"
 #include "util/rng.h"
@@ -112,6 +115,46 @@ TEST(Histogram, Percentile) {
   EXPECT_LE(spike.Percentile(99), 4.0);
   // Percentiles are monotone in p.
   EXPECT_LE(spike.Percentile(10), spike.Percentile(90));
+}
+
+// Host-time histograms must resolve both ends of a miss: sub-microsecond
+// service times and over-1-ms stalls. With log2 buckets the estimated p50
+// and p99 land in the truth's bucket or a neighbour.
+TEST(Histogram, Log2ResolvesSubMicrosecondAndMilliseconds) {
+  const auto bucket_of = [](double x) {
+    return x < 1.0 ? 0 : std::ilogb(x) + 1;
+  };
+  const auto nearest_rank = [](std::vector<double> v, double p) {
+    std::sort(v.begin(), v.end());
+    const size_t rank = static_cast<size_t>(std::ceil(p / 100.0 * static_cast<double>(v.size())));
+    return v[std::max<size_t>(rank, 1) - 1];
+  };
+  // 97% memo-hit-like samples between 300 and 900 ns, 3% stalls of 1.5 to
+  // 40 ms.
+  std::vector<double> samples;
+  for (int i = 0; i < 970; ++i) samples.push_back(300.0 + (i * 37) % 600);
+  for (int i = 0; i < 30; ++i) samples.push_back(1.5e6 + i * 1.3e6);
+  Histogram hist = Histogram::Log2(kHostNsBuckets);
+  for (double x : samples) hist.Add(x);
+  EXPECT_EQ(hist.total(), samples.size());
+  for (double p : {50.0, 99.0}) {
+    const double truth = nearest_rank(samples, p);
+    const double est = hist.Percentile(p);
+    EXPECT_LE(std::abs(bucket_of(est) - bucket_of(truth)), 1)
+        << "p" << p << ": estimate " << est << " truth " << truth;
+  }
+  EXPECT_LT(hist.Percentile(50), 1000.0);
+  EXPECT_GT(hist.Percentile(99), 1e6);
+  // Bucket edges are powers of two; below 1 and beyond the top clamp.
+  EXPECT_DOUBLE_EQ(hist.bucket_low(0), 0.0);
+  EXPECT_DOUBLE_EQ(hist.bucket_low(1), 1.0);
+  EXPECT_DOUBLE_EQ(hist.bucket_low(11), 1024.0);
+  Histogram edges = Histogram::Log2(4);  // [0,1) [1,2) [2,4) [4,inf)
+  edges.Add(0.5);
+  edges.Add(1.0);
+  edges.Add(3.9);
+  edges.Add(1e12);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(edges.bucket_count(i), 1u) << i;
 }
 
 TEST(Format, WithCommas) {
