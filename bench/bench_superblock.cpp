@@ -9,6 +9,10 @@
 // every engine row is SC_CHECKed bit-identical to the interpreter run
 // (output bytes, exit code, instructions, cycles) before its time counts.
 //
+// Wall-time fields (wall_ns, mips) hold on the host that produced them
+// only; the file records that host's `nproc`. Everything else in a row is
+// deterministic.
+//
 // Modes: native, softcache (64 KB tcache: the hot set stays resident) and
 // softcache-thrash (2 KB tcache: the working set far exceeds it, so most
 // host time goes to the miss path, whose tcache writes invalidate
@@ -24,6 +28,7 @@
 #include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -140,7 +145,11 @@ Row MakeRow(const std::string& workload, const char* mode, const char* engine,
 void WriteJson(const std::string& path, const std::vector<Row>& rows) {
   FILE* f = std::fopen(path.c_str(), "w");
   SC_CHECK(f != nullptr) << "cannot open " << path;
-  std::fprintf(f, "{\n  \"bench\": \"superblock\",\n  \"rows\": [\n");
+  // Wall-time fields are host-specific: record the host's core count.
+  std::fprintf(f,
+               "{\n  \"bench\": \"superblock\",\n  \"nproc\": %u,\n"
+               "  \"rows\": [\n",
+               std::thread::hardware_concurrency());
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,

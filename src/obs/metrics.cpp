@@ -133,11 +133,10 @@ void Series::Add(uint64_t t, uint64_t value) {
   if (tick_++ % stride_ != 0) return;  // thinned out at the current stride
   points_.push_back(Point{t, value});
   if (points_.size() >= max_points_) {
-    // Thin uniformly: keep every other point, double the stride.
-    std::vector<Point> kept;
-    kept.reserve(points_.size() / 2 + 1);
-    for (size_t i = 0; i < points_.size(); i += 2) kept.push_back(points_[i]);
-    points_ = std::move(kept);
+    // Thin uniformly, in place: keep every other point, double the stride.
+    const size_t kept = (points_.size() + 1) / 2;
+    for (size_t i = 1; i < kept; ++i) points_[i] = points_[2 * i];
+    points_.resize(kept);
     stride_ *= 2;
   }
 }

@@ -359,7 +359,7 @@ void McSession::FaultTextPrivate() {
 
 void McSession::WritePages(PageMap* pages, uint32_t addr, const uint8_t* src,
                            size_t len, bool count_faults) {
-  const std::vector<uint8_t>& shared = server_.shared_data();
+  const auto& shared = server_.shared_data();
   uint32_t offset = addr - server_.DataBase();
   size_t remaining = len;
   while (remaining > 0) {
@@ -387,7 +387,7 @@ void McSession::WritePages(PageMap* pages, uint32_t addr, const uint8_t* src,
 }
 
 void McSession::ReadData(uint32_t addr, uint32_t len, uint8_t* out) const {
-  const std::vector<uint8_t>& shared = server_.shared_data();
+  const auto& shared = server_.shared_data();
   uint32_t offset = addr - server_.DataBase();
   uint32_t remaining = len;
   while (remaining > 0) {
@@ -792,7 +792,8 @@ void MemoryController::RestartSession(uint32_t client_id) {
 const std::vector<uint8_t>& MemoryController::data() const {
   const McSession& s0 = Session0();
   if (legacy_data_version_ != s0.data_version()) {
-    legacy_data_ = server_.shared_data();
+    legacy_data_.assign(server_.shared_data().begin(),
+                        server_.shared_data().end());
     s0.OverlayData(&legacy_data_);
     legacy_data_version_ = s0.data_version();
   }

@@ -149,6 +149,12 @@ class McServerLoop {
   // Quiescent read surface: loop counters are written only under mu_; read
   // them after the run (or inside an exclusive section / safepoint).
   const McServerLoopStats& stats() const { return stats_; }
+  // A copy of the loop counters taken under mu_: safe while the loop runs,
+  // including from inside a handler (which runs without mu_).
+  McServerLoopStats LiveStats() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return stats_;
+  }
   const std::vector<McWorkerStats>& worker_stats() const {
     return worker_stats_;
   }

@@ -308,8 +308,7 @@ void Machine::DoSyscall(int32_t number, uint32_t* next_pc) {
 
 RunResult Machine::Run(uint64_t max_instructions) {
   if (engine_ != Engine::kThreaded) return RunInterp(max_instructions);
-  // Built here, not in RunThreaded: inlined there, the constructor's code
-  // shifted the dispatch loop's layout (INTERNALS.md §9).
+  // Built here, so RunThreaded's dispatch loop carries no set-up code.
   if (sb_cache_ == nullptr) sb_cache_ = std::make_unique<SuperblockCache>();
   return RunThreaded(max_instructions);
 }

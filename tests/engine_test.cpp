@@ -783,5 +783,135 @@ TEST(SuperblockInvalidate, RandomSequencesMatchBruteForceOracle) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// SuperblockCache block storage (the bump arena)
+// ---------------------------------------------------------------------------
+
+// Publishes one block of `n_ops` ops at `start` whose op fields encode
+// (start, index), so a block that lands on top of another's storage reads
+// back wrong.
+vm::Superblock* PublishTagged(vm::SuperblockCache& cache, uint32_t start,
+                              uint32_t n_ops) {
+  std::vector<vm::SbOp> ops(n_ops);
+  for (uint32_t i = 0; i < n_ops; ++i) {
+    ops[i].pc = start + 4 * i;
+    ops[i].imm = static_cast<int32_t>(start ^ (i * 0x9e3779b9u));
+    ops[i].kind = static_cast<uint8_t>(i % vm::kSbKindCount);
+  }
+  return cache.Publish(start, 4 * n_ops, ops.data(), n_ops);
+}
+
+bool TaggedIntact(const vm::Superblock& sb) {
+  for (uint32_t i = 0; i < sb.n_ops; ++i) {
+    const vm::SbOp& op = sb.ops()[i];
+    if (op.pc != sb.start + 4 * i ||
+        op.imm != static_cast<int32_t>(sb.start ^ (i * 0x9e3779b9u)) ||
+        op.kind != i % vm::kSbKindCount) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Arena bytes one block of `n_ops` ops occupies (header + ops, rounded up
+// to the block alignment).
+size_t ArenaStep(uint32_t n_ops) {
+  constexpr size_t kAlign = static_cast<size_t>(vm::kSbBlockAlign);
+  const size_t bytes = sizeof(vm::Superblock) + n_ops * sizeof(vm::SbOp);
+  return (bytes + kAlign - 1) / kAlign * kAlign;
+}
+
+TEST(SuperblockArena, BlocksAreCacheLineAligned) {
+  vm::SuperblockCache cache;
+  for (uint32_t i = 0; i < 200; ++i) {
+    const uint32_t n_ops = 1 + i % (vm::kSbMaxOps + 1);
+    const vm::Superblock* sb = PublishTagged(cache, 0x1000 + 0x100 * i, n_ops);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(sb) %
+                  static_cast<size_t>(vm::kSbBlockAlign),
+              0u)
+        << "block " << i;
+  }
+  size_t intact = 0;
+  cache.ForEachLive([&](const vm::Superblock& sb, const vm::Superblock*,
+                        const vm::Superblock*) {
+    if (TaggedIntact(sb)) ++intact;
+  });
+  EXPECT_EQ(intact, 200u);
+}
+
+TEST(SuperblockArena, ReclaimReusesStorageWithoutGrowth) {
+  vm::SuperblockCache cache;
+  vm::SbStats stats;
+  std::vector<const vm::Superblock*> first_cycle;
+  size_t chunks_after_first = 0;
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    // The same block shapes every cycle, enough to span several chunks.
+    std::vector<const vm::Superblock*> blocks;
+    for (uint32_t i = 0; i < 600; ++i) {
+      blocks.push_back(
+          PublishTagged(cache, 0x4000 + 0x100 * i, 1 + (i * 7) % vm::kSbMaxOps));
+    }
+    for (const vm::Superblock* sb : blocks) ASSERT_TRUE(TaggedIntact(*sb));
+    if (cycle == 0) {
+      first_cycle = blocks;
+      chunks_after_first = cache.arena_chunks();
+      EXPECT_GT(chunks_after_first, 1u);
+    } else {
+      // Rewound, not reallocated: the same shapes land at the same
+      // addresses, in the chunks the first cycle allocated.
+      EXPECT_EQ(cache.arena_chunks(), chunks_after_first) << "cycle " << cycle;
+      EXPECT_EQ(blocks, first_cycle) << "cycle " << cycle;
+    }
+    cache.FlushMark(&stats);
+    ASSERT_TRUE(cache.reclaim_pending());
+    cache.Reclaim();
+    EXPECT_EQ(cache.pool_size(), 0u);
+    EXPECT_EQ(cache.live_blocks(), 0u);
+  }
+}
+
+TEST(SuperblockArena, MaxLengthBlockLandsAtChunkBoundary) {
+  constexpr uint32_t kMaxLen = vm::kSbMaxOps + 1;  // synthetic terminator
+  const size_t max_step = ArenaStep(kMaxLen);
+  // Fill the first chunk with maximum-length blocks, then close the gap
+  // left at its end with one block that fits exactly (when the remainder
+  // can hold one), so the next block must open a fresh chunk.
+  vm::SuperblockCache cache;
+  std::vector<const vm::Superblock*> blocks;
+  uint32_t start = 0x2000;
+  size_t used = 0;
+  while (used + max_step <= vm::kSbChunkBytes) {
+    blocks.push_back(PublishTagged(cache, start, kMaxLen));
+    start += 0x100;
+    used += max_step;
+  }
+  const size_t rest = vm::kSbChunkBytes - used;
+  if (rest >= ArenaStep(1)) {
+    uint32_t fit = 1;
+    while (fit < kMaxLen && ArenaStep(fit + 1) <= rest) ++fit;
+    blocks.push_back(PublishTagged(cache, start, fit));
+    start += 0x100;
+  }
+  EXPECT_EQ(cache.arena_chunks(), 1u);
+  const auto* chunk0 = reinterpret_cast<const std::byte*>(blocks.front());
+  const auto* last = reinterpret_cast<const std::byte*>(blocks.back());
+  EXPECT_LE(last + sizeof(vm::Superblock) + blocks.back()->n_ops * sizeof(vm::SbOp),
+            chunk0 + vm::kSbChunkBytes);
+
+  // The maximum-length block does not fit: it opens chunk two at its start.
+  const vm::Superblock* boundary = PublishTagged(cache, start, kMaxLen);
+  EXPECT_EQ(cache.arena_chunks(), 2u);
+  const auto* at = reinterpret_cast<const std::byte*>(boundary);
+  EXPECT_TRUE(at < chunk0 || at >= chunk0 + vm::kSbChunkBytes)
+      << "spilled into the first chunk's tail";
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(at) %
+                static_cast<size_t>(vm::kSbBlockAlign),
+            0u);
+  EXPECT_EQ(boundary->n_ops, kMaxLen);
+  EXPECT_TRUE(TaggedIntact(*boundary));
+  for (const vm::Superblock* sb : blocks) EXPECT_TRUE(TaggedIntact(*sb));
+  EXPECT_EQ(cache.Find(start), boundary);
+}
+
 }  // namespace
 }  // namespace sc

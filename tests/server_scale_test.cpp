@@ -205,20 +205,25 @@ TEST(WorkerPool, StaticLaneOwnershipServicesEveryFrame) {
 }
 
 TEST(WorkerPool, BoundedLaneDefersTheOverflowingSubmitter) {
-  // One lane bounded at 1 ticket, one worker. The handler parks until all
-  // three submitters have arrived, so the queue admission order is forced:
-  // one ticket in service, one queued (at the bound), one deferred.
-  std::atomic<uint32_t> arrived{0};
+  // One lane bounded at 1 ticket, one worker. The handler parks until a
+  // submitter has been deferred, so the queue admission order is forced:
+  // one ticket in service, one queued (at the bound), one deferred. (Gating
+  // on the submitters' arrival instead let the first ticket finish before
+  // the third submitter reached the lane, and then nothing was deferred.)
+  // The handler only runs for a submitted ticket, after `self` is set.
+  const McServerLoop* self = nullptr;
   McServerLoop loop(
-      [&arrived](uint32_t port, const std::vector<uint8_t>& frame) {
-        while (arrived.load() < 3) std::this_thread::yield();
+      [&self](uint32_t port, const std::vector<uint8_t>& frame) {
+        while (self->LiveStats().requests_deferred == 0) {
+          std::this_thread::yield();
+        }
         return Echo(port, frame);
       },
       nullptr, McServerLoopConfig{1, 1, 1});
+  self = &loop;
   std::vector<std::thread> clients;
   for (uint32_t t = 0; t < 3; ++t) {
     clients.emplace_back([&, t] {
-      ++arrived;
       const std::vector<uint8_t> reply = loop.Submit(t, {7});
       EXPECT_EQ(reply.size(), 2u);
       EXPECT_EQ(reply[0], t);
