@@ -11,6 +11,7 @@
 // move around (both true for the id/address maps it replaces).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstddef>
 #include <utility>
@@ -35,6 +36,12 @@ class OpenTable {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+
+  // Removes every entry in place; the slots keep their capacity.
+  void Clear() {
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    size_ = 0;
+  }
 
   Value* Find(Key key) {
     size_t i = Probe(key);
