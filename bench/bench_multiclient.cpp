@@ -29,23 +29,22 @@
 // carries `nproc`, and only the other row fields are deterministic.
 //
 // A second table measures the SERVER-SCALE story: the same MC core fronted
-// by the worker-pool loop, fed by {256, 1024, 4096} logical clients x
-// {1, 2, 4, 8} worker rows. Guest memory is demand-zero, so real VMs fit at
+// by the event loop, fed by {256, 1024, 4096} logical clients from
+// {1, 8} driver threads. Guest memory is demand-zero, so real VMs fit at
 // fleet scale (the 1024-client dijkstra row above runs them); this sweep
 // isolates the server instead, so the fleet is replayed synthetically: a
-// solo run records the genuinely demanded chunk addresses,
-// and each logical client re-demands that sequence as serialized
-// kChunkRequest frames submitted through the loop from a fixed pool of
-// driver threads (stop-and-wait per client, like the real transport). The
-// sweep asserts that the reply byte stream and wire bytes/client are
-// IDENTICAL across worker counts (more workers may only change timing), and
-// on a many-core host that the worker pool actually scales service
-// throughput. Results land in BENCH_server_scale.json.
+// solo run records the genuinely demanded chunk addresses, and each logical
+// client re-demands that sequence as serialized kChunkRequest frames
+// submitted through the loop (stop-and-wait per client, like the real
+// transport). One driver thread submits one frame at a time; eight contend
+// for the pump, which drains every frame queued behind the one it serves.
+// The sweep asserts that the reply byte stream and wire bytes/client are
+// IDENTICAL across driver counts (concurrency may only change timing) and
+// reports frames/s per row. Results land in BENCH_server_scale.json.
 //
 // Flags:
 //   --smoke       one workload, clients {1, 2}; scale sweep at 1024 clients
-//                 x workers {1, 4} only (CI crash + scaling check); no
-//                 1024-client real-VM row
+//                 x drivers {1, 8} only; no 1024-client real-VM row
 //   --out=PATH    JSON output path (default BENCH_multiclient.json)
 //   --scale-out=PATH  scale-sweep JSON path (default BENCH_server_scale.json)
 //   --trace=PATH  merged Chrome trace of the first workload's 8-client fleet
@@ -261,11 +260,11 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
   std::fclose(f);
 }
 
-// ---- server-scale sweep (worker-pool loop under synthetic fleet load) ----
+// ---- server-scale sweep (event loop under synthetic fleet load) ----
 
 struct ScaleRow {
   uint32_t clients = 0;
-  uint32_t workers = 0;
+  uint32_t drivers = 0;           // threads submitting frames concurrently
   uint64_t frames = 0;            // kChunkRequest frames serviced
   uint64_t server_translates = 0;
   uint64_t memo_hits = 0;
@@ -302,39 +301,31 @@ std::vector<uint32_t> RecordDemandAddrs(const image::Image& img,
   return addrs;
 }
 
-// Lanes/shards for the replay server: finer than the worker count so the
-// modulo lane->worker ownership spreads clustered hot addresses (real text
-// is front-loaded) across the pool.
+// Memo shards of the replay server.
 constexpr uint32_t kScaleShards = 64;
-// Driver threads submitting frames (each drives its clients stop-and-wait,
-// so at most kScaleDrivers frames are in flight). Fixed across rows so only
-// the worker count varies between measurements.
-constexpr uint32_t kScaleDrivers = 8;
 
+// Replays `clients` logical clients from `drivers` threads (each drives its
+// clients stop-and-wait, so at most `drivers` frames are in flight).
 ScaleRow ReplayFleet(const image::Image& img,
                      const std::vector<uint32_t>& addrs, uint32_t clients,
-                     uint32_t workers) {
+                     uint32_t drivers) {
   softcache::McServerConfig scfg;
   scfg.shards = kScaleShards;
   softcache::MemoryController mc(img, softcache::Style::kSparc, 64, 1, scfg);
   softcache::McServerLoop loop(
       [&mc](uint32_t, const std::vector<uint8_t>& frame) {
         return mc.Handle(frame);
-      },
-      [&mc](uint32_t, const std::vector<uint8_t>& frame) {
-        return mc.server().ShardFor(softcache::PeekFrameAddr(frame));
-      },
-      softcache::McServerLoopConfig{kScaleShards, workers, 0});
+      });
 
   const uint32_t n = static_cast<uint32_t>(addrs.size());
   std::vector<uint64_t> client_bytes(clients, 0);
   std::vector<uint64_t> client_hash(clients, 14695981039346656037ull);
   const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> drivers;
-  drivers.reserve(kScaleDrivers);
-  for (uint32_t d = 0; d < kScaleDrivers; ++d) {
-    drivers.emplace_back([&, d] {
-      for (uint32_t c = d; c < clients; c += kScaleDrivers) {
+  std::vector<std::thread> threads;
+  threads.reserve(drivers);
+  for (uint32_t d = 0; d < drivers; ++d) {
+    threads.emplace_back([&, d] {
+      for (uint32_t c = d; c < clients; c += drivers) {
         // Rotate each client's demand order so concurrent clients hit
         // different shards at any instant (a fleet's miss streams are not
         // phase-locked); the rotation is a pure function of the client id,
@@ -354,7 +345,7 @@ ScaleRow ReplayFleet(const image::Image& img,
       }
     });
   }
-  for (std::thread& t : drivers) t.join();
+  for (std::thread& t : threads) t.join();
   const uint64_t wall_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
@@ -362,7 +353,7 @@ ScaleRow ReplayFleet(const image::Image& img,
 
   ScaleRow row;
   row.clients = clients;
-  row.workers = workers;
+  row.drivers = drivers;
   row.frames = static_cast<uint64_t>(clients) * n;
   SC_CHECK(loop.stats().requests_enqueued == row.frames)
       << "loop lost frames: " << loop.stats().requests_enqueued;
@@ -371,7 +362,7 @@ ScaleRow ReplayFleet(const image::Image& img,
       << "server lost frames: " << server.requests_served;
   row.server_translates = server.translates;
   row.memo_hits = server.translate_memo_hits;
-  // Translate-once economics must hold under the pool: every address cut
+  // Translate-once economics must hold under concurrency: every address cut
   // exactly once fleet-wide, everything else a memo hit.
   SC_CHECK(row.server_translates == n)
       << "expected " << n << " cuts, got " << row.server_translates;
@@ -384,7 +375,7 @@ ScaleRow ReplayFleet(const image::Image& img,
   // bodies), so per-client flatness is exact, not approximate.
   for (uint32_t c = 0; c < clients; ++c) {
     SC_CHECK(client_bytes[c] == client_bytes[0])
-        << "client " << c << " wire bytes diverged under workers=" << workers;
+        << "client " << c << " wire bytes diverged under drivers=" << drivers;
     row.wire_bytes += client_bytes[c];
     row.reply_hash = Fnv64(reinterpret_cast<const uint8_t*>(&client_hash[c]),
                            sizeof(client_hash[c]), row.reply_hash);
@@ -395,26 +386,25 @@ ScaleRow ReplayFleet(const image::Image& img,
 }
 
 void WriteScaleJson(const std::string& path, const std::string& workload,
-                    size_t chunk_addrs, const std::vector<ScaleRow>& rows,
-                    double speedup, bool speedup_asserted) {
+                    size_t chunk_addrs, const std::vector<ScaleRow>& rows) {
   FILE* f = std::fopen(path.c_str(), "w");
   SC_CHECK(f != nullptr) << "cannot open " << path;
   std::fprintf(f,
                "{\n  \"bench\": \"server_scale\",\n  \"workload\": \"%s\",\n"
                "  \"chunk_addrs\": %zu,\n  \"shards\": %u,\n"
-               "  \"drivers\": %u,\n  \"hardware_concurrency\": %u,\n"
+               "  \"hardware_concurrency\": %u,\n"
                "  \"rows\": [\n",
-               workload.c_str(), chunk_addrs, kScaleShards, kScaleDrivers,
+               workload.c_str(), chunk_addrs, kScaleShards,
                std::thread::hardware_concurrency());
   for (size_t i = 0; i < rows.size(); ++i) {
     const ScaleRow& r = rows[i];
     std::fprintf(f,
-                 "    {\"clients\": %u, \"workers\": %u, \"frames\": %llu, "
+                 "    {\"clients\": %u, \"drivers\": %u, \"frames\": %llu, "
                  "\"server_translates\": %llu, \"memo_hits\": %llu, "
                  "\"wall_ns\": %llu, \"frames_per_sec\": %.0f, "
                  "\"wire_bytes\": %llu, \"wire_bytes_per_client\": %.1f, "
                  "\"reply_hash\": \"0x%016llx\"}%s\n",
-                 r.clients, r.workers,
+                 r.clients, r.drivers,
                  static_cast<unsigned long long>(r.frames),
                  static_cast<unsigned long long>(r.server_translates),
                  static_cast<unsigned long long>(r.memo_hits),
@@ -424,56 +414,8 @@ void WriteScaleJson(const std::string& path, const std::string& workload,
                  static_cast<unsigned long long>(r.reply_hash),
                  i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(f,
-               "  ],\n  \"speedup_w4_over_w1_at_1024\": %.3f,\n"
-               "  \"speedup_asserted\": %s\n}\n",
-               speedup, speedup_asserted ? "true" : "false");
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
-}
-
-// Real-VM cross-check riding the sweep: a small fleet run end-to-end with
-// workers=1 and workers=4 must produce byte-identical guest output (and
-// identical instruction/translation counts) — the pool may only change
-// which thread services a frame, never what the frame returns.
-void CheckRealFleetWorkerIdentity(const workloads::WorkloadSpec& spec,
-                                  const image::Image& img,
-                                  const std::vector<uint8_t>& input) {
-  std::vector<std::string> outputs;
-  std::vector<uint64_t> instructions;
-  std::vector<uint64_t> translates;
-  for (const uint32_t workers : {1u, 4u}) {
-    softcache::MultiClientConfig config;
-    config.clients = 4;
-    config.base = BaseConfig();
-    config.server.shards = 4;
-    config.server.workers = workers;
-    softcache::MultiClientSystem fleet(img, config);
-    for (uint32_t i = 0; i < config.clients; ++i) fleet.SetInput(i, input);
-    const std::vector<vm::RunResult> results =
-        fleet.RunAll(16'000'000'000ull);
-    std::string out;
-    uint64_t instrs = 0;
-    for (uint32_t i = 0; i < config.clients; ++i) {
-      SC_CHECK(results[i].reason == vm::StopReason::kHalted)
-          << spec.name << " workers=" << workers << " client " << i << ": "
-          << results[i].fault_message;
-      out += fleet.OutputString(i);
-      instrs += results[i].instructions;
-    }
-    outputs.push_back(out);
-    instructions.push_back(instrs);
-    translates.push_back(fleet.mc().server().stats().translates);
-  }
-  SC_CHECK(outputs[0] == outputs[1])
-      << spec.name << ": guest output diverged between workers=1 and 4";
-  SC_CHECK(instructions[0] == instructions[1])
-      << spec.name << ": instruction counts diverged between worker counts";
-  SC_CHECK(translates[0] == translates[1])
-      << spec.name << ": server translation counts diverged";
-  std::printf("real 4-client fleet: workers=1 vs workers=4 guest output "
-              "byte-identical (%llu instrs, %llu cuts)\n",
-              static_cast<unsigned long long>(instructions[0]),
-              static_cast<unsigned long long>(translates[0]));
 }
 
 }  // namespace
@@ -572,9 +514,9 @@ int main(int argc, char** argv) {
               wire_decreasing ? "yes" : "NO");
   std::printf("wrote %s\n", out_path.c_str());
 
-  // ---- server-scale sweep: worker pool under synthetic fleet load ----
+  // ---- server-scale sweep: event loop under synthetic fleet load ----
   bench::PrintHeader(
-      "Server worker-pool scaling (synthetic frame replay)",
+      "Server loop throughput (synthetic frame replay)",
       "Section 1 (one powerful MC: service throughput under fleet load)");
   const std::string scale_name = names.front();
   const auto* scale_spec = workloads::FindWorkload(scale_name);
@@ -586,81 +528,53 @@ int main(int argc, char** argv) {
               demand_addrs.size(), scale_name.c_str());
 
   std::vector<uint32_t> scale_clients = {256, 1024, 4096};
-  std::vector<uint32_t> scale_workers = {1, 2, 4, 8};
-  if (smoke) {
-    scale_clients = {1024};
-    scale_workers = {1, 4};
-  }
-  std::printf("%8s %8s %10s %10s %10s %12s %10s\n", "clients", "workers",
+  if (smoke) scale_clients = {1024};
+  const std::vector<uint32_t> scale_drivers = {1, 8};
+  std::printf("%8s %8s %10s %10s %10s %12s %10s\n", "clients", "drivers",
               "frames", "translate", "memo hits", "frames/sec", "bytes/cl");
   bench::PrintRule();
   std::vector<ScaleRow> scale_rows;
   bool replies_identical = true;
   bool wire_flat = true;
-  double speedup_w4 = 0.0;
   for (const uint32_t clients : scale_clients) {
-    ScaleRow baseline;  // the first worker row of this client count, by value
-    uint64_t w1_wall = 0;
-    uint64_t w4_wall = 0;
-    for (const uint32_t workers : scale_workers) {
+    ScaleRow baseline;  // the 1-driver row of this client count, by value
+    for (const uint32_t drivers : scale_drivers) {
       const ScaleRow row =
-          ReplayFleet(scale_img, demand_addrs, clients, workers);
+          ReplayFleet(scale_img, demand_addrs, clients, drivers);
       scale_rows.push_back(row);
       std::printf("%8u %8u %10llu %10llu %10llu %12.0f %10.1f\n", row.clients,
-                  row.workers, static_cast<unsigned long long>(row.frames),
+                  row.drivers, static_cast<unsigned long long>(row.frames),
                   static_cast<unsigned long long>(row.server_translates),
                   static_cast<unsigned long long>(row.memo_hits),
                   row.frames_per_sec, row.wire_bytes_per_client);
-      if (workers == scale_workers.front()) {
+      if (drivers == scale_drivers.front()) {
         baseline = row;
-      } else {
-        // More workers may only change TIMING: the reply byte streams and
-        // the wire cost per client must match the first worker row exactly.
-        if (row.reply_hash != baseline.reply_hash) {
-          replies_identical = false;
-          std::printf("!! x%u workers=%u: reply stream diverged\n", clients,
-                      workers);
-        }
-        if (row.wire_bytes != baseline.wire_bytes) {
-          wire_flat = false;
-          std::printf("!! x%u workers=%u: wire bytes moved with workers\n",
-                      clients, workers);
-        }
+        continue;
       }
-      if (workers == 1) w1_wall = row.wall_ns;
-      if (workers == 4) w4_wall = row.wall_ns;
-    }
-    if (clients == 1024 && w1_wall != 0 && w4_wall != 0) {
-      speedup_w4 = static_cast<double>(w1_wall) / static_cast<double>(w4_wall);
+      // Concurrent submitters may only change TIMING: the reply byte
+      // streams and the wire cost per client must match the 1-driver row.
+      if (row.reply_hash != baseline.reply_hash) {
+        replies_identical = false;
+        std::printf("!! x%u drivers=%u: reply stream diverged\n", clients,
+                    drivers);
+      }
+      if (row.wire_bytes != baseline.wire_bytes) {
+        wire_flat = false;
+        std::printf("!! x%u drivers=%u: wire bytes moved with drivers\n",
+                    clients, drivers);
+      }
     }
     bench::PrintRule();
   }
 
-  // The throughput-scaling gate only fires on a host with enough cores for
-  // the 4 workers plus the drivers to actually run concurrently; on small
-  // hosts the sweep still proves determinism and reports the measurement.
-  const bool many_core = std::thread::hardware_concurrency() >= 8;
-  bool scaling_ok = true;
-  if (speedup_w4 != 0.0) {
-    std::printf("1024-client sweep: workers=4 speedup over workers=1 = %.2fx"
-                " (%s)\n",
-                speedup_w4,
-                many_core ? "asserted >= 2x" : "informational, host is small");
-    if (many_core && speedup_w4 < 2.0) {
-      scaling_ok = false;
-      std::printf("!! worker pool failed to scale on a many-core host\n");
-    }
-  }
-  CheckRealFleetWorkerIdentity(*scale_spec, scale_img, scale_input);
-  WriteScaleJson(scale_out_path, scale_name, demand_addrs.size(), scale_rows,
-                 speedup_w4, many_core);
-  std::printf("reply streams identical across worker counts: %s\n",
+  WriteScaleJson(scale_out_path, scale_name, demand_addrs.size(), scale_rows);
+  std::printf("reply streams identical across driver counts: %s\n",
               replies_identical ? "yes" : "NO");
-  std::printf("wire bytes/client flat across worker counts: %s\n",
+  std::printf("wire bytes/client flat across driver counts: %s\n",
               wire_flat ? "yes" : "NO");
   std::printf("wrote %s\n", scale_out_path.c_str());
   return (translations_flat && wire_decreasing && replies_identical &&
-          wire_flat && scaling_ok)
+          wire_flat)
              ? 0
              : 1;
 }

@@ -15,11 +15,27 @@ namespace sc::softcache {
 using isa::Instr;
 using isa::Opcode;
 
+namespace {
+
+// Checks the tcache geometry before any member table is sized from it, so
+// a hostile tcache_bytes fails here instead of in a multi-gigabyte
+// allocation.
+const SoftCacheConfig& CheckedConfig(const SoftCacheConfig& config) {
+  SC_CHECK_EQ(config.tcache_bytes % 4, 0u);
+  SC_CHECK_GE(config.tcache_bytes, kMinTcacheBytes);
+  SC_CHECK_LE(config.tcache_bytes, kMaxTcacheBytes)
+      << "tcache exceeds branch reach";
+  SC_CHECK_EQ(config.forward_cell_bytes % 4, 0u);
+  return config;
+}
+
+}  // namespace
+
 CacheController::CacheController(vm::Machine& machine, MemoryController& mc,
                                  net::Channel& channel, const SoftCacheConfig& config)
     : machine_(machine),
       mc_(mc),
-      config_(config),
+      config_(CheckedConfig(config)),
       session_(config.transport_factory
                    ? config.transport_factory(mc, channel)
                    : MakeMcTransport(mc, channel, config.fault),
@@ -40,12 +56,6 @@ CacheController::CacheController(vm::Machine& machine, MemoryController& mc,
       slot_by_id_(config.tcache_bytes / 16),
       slot_by_orig_(config.tcache_bytes / 16),
       cell_for_orig_(config.forward_cell_bytes / 4) {
-  SC_CHECK_EQ(config_.tcache_bytes % 4, 0u);
-  SC_CHECK_GE(config_.tcache_bytes, 64u);
-  // Conditional-branch patches must reach anywhere in the tcache (imm16
-  // word offsets span +-128 KB).
-  SC_CHECK_LE(config_.tcache_bytes, 128u * 1024) << "tcache exceeds branch reach";
-  SC_CHECK_EQ(config_.forward_cell_bytes % 4, 0u);
   local_base_ = image::kLocalBase;
   cells_base_ = local_base_ + config_.tcache_bytes;
   cells_bytes_ = config_.forward_cell_bytes;

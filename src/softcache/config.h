@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 
 #include "net/channel.h"
 #include "net/transport.h"
@@ -23,6 +24,11 @@ namespace sc::softcache {
 class MemoryController;
 
 enum class Style : uint8_t { kSparc, kArm };
+
+// Translation-cache size bounds. Conditional-branch patches must reach
+// anywhere in the tcache (imm16 word offsets span +-128 KB).
+constexpr uint32_t kMinTcacheBytes = 64;
+constexpr uint32_t kMaxTcacheBytes = 128 * 1024;
 
 // Speculative chunk prefetch (MC-side CFG walk + batched replies).
 enum class PrefetchPolicy : uint8_t {
@@ -60,6 +66,54 @@ enum class EvictPolicy : uint8_t {
   // (fragment-cache-style FIFO ring).
   kFifoRing,
 };
+
+// CLI-level parsing of the --style and --evict names: false for an unknown
+// name, so a typo is a usage error instead of a silent default.
+inline bool ParseStyle(const std::string& name, Style* style) {
+  if (name == "sparc") {
+    *style = Style::kSparc;
+  } else if (name == "arm") {
+    *style = Style::kArm;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+inline bool ParseEvictPolicy(const std::string& name, EvictPolicy* evict) {
+  if (name == "fifo") {
+    *evict = EvictPolicy::kFifoRing;
+  } else if (name == "flush") {
+    *evict = EvictPolicy::kFlushAll;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+// CLI-level validation of the numeric client knobs (--tcache,
+// --trace-blocks, --scale), returning an error string instead of crashing:
+// the CacheController constructor and the workload input generator treat
+// violations as programmer error and SC_CHECK.
+inline bool ValidateCacheFlags(int64_t tcache_bytes, int64_t trace_blocks,
+                               int64_t scale, std::string* error) {
+  if (tcache_bytes < kMinTcacheBytes || tcache_bytes > kMaxTcacheBytes ||
+      tcache_bytes % 4 != 0) {
+    *error = "tcache must be a multiple of 4 in [" +
+             std::to_string(kMinTcacheBytes) + ", " +
+             std::to_string(kMaxTcacheBytes) + "] bytes";
+    return false;
+  }
+  if (trace_blocks < 1) {
+    *error = "trace-blocks must be >= 1 (1 = plain basic blocks)";
+    return false;
+  }
+  if (scale < 1 || scale > INT32_MAX) {
+    *error = "scale must be in [1, " + std::to_string(INT32_MAX) + "]";
+    return false;
+  }
+  return true;
+}
 
 struct CostModel {
   // CC-side trap entry/exit overhead for a TCMISS, before any work.

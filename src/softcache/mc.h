@@ -146,19 +146,10 @@ struct McServerConfig {
   // mismatch healed by re-translating from the pristine image (invisible
   // to the requesting client beyond server-side counters).
   MemFaultConfig memfault;
-  // Event-loop backpressure bound: the deepest any McServerLoop lane queue
-  // may grow before submitters defer (0 = unbounded, the historical
+  // Event-loop backpressure bound: the deepest the McServerLoop ticket
+  // queue may grow before submitters defer (0 = unbounded, the historical
   // behavior). See server_loop.h.
   size_t max_queue = 0;
-  // Dedicated server worker threads draining the per-shard lane queues.
-  // 0 = the legacy borrowed-thread pump (a single lane drained by whichever
-  // client thread submits; exactly one frame in the core at a time). With
-  // workers >= 1 the loop routes each frame to its shard's lane and `workers`
-  // dedicated threads drain the lanes with static ownership
-  // (lane l -> worker l % workers), so translations in different shards
-  // proceed concurrently. Requires workers <= shards (validated at the CLI;
-  // the MultiClientSystem constructor SC_CHECKs).
-  uint32_t workers = 0;
 };
 
 // The shared server core: immutable per-program state plus the memoized

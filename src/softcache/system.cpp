@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -13,32 +12,6 @@
 #include "util/check.h"
 
 namespace sc::softcache {
-
-namespace {
-
-// McServerConfig::shards as the MemoryController will actually clamp it.
-uint32_t ServerShards(const McServerConfig& config) {
-  return config.shards == 0 ? 1 : config.shards;
-}
-
-// Applies the SOFTCACHE_WORKERS environment override (used by the CI
-// parallel-server job to re-run the whole suite under a worker pool) when
-// the caller left workers at the default. Unlike the CLI path — which
-// rejects workers > shards outright — the blanket override clamps to the
-// shard count, since it applies to fixtures of every shape.
-MultiClientConfig WithEffectiveWorkers(MultiClientConfig config) {
-  if (config.server.workers == 0 && config.clients > 1) {
-    if (const char* env = std::getenv("SOFTCACHE_WORKERS");
-        env != nullptr && *env != '\0') {
-      const unsigned long parsed = std::strtoul(env, nullptr, 10);
-      config.server.workers = static_cast<uint32_t>(
-          std::min<unsigned long>(parsed, ServerShards(config.server)));
-    }
-  }
-  return config;
-}
-
-}  // namespace
 
 SoftCacheSystem::SoftCacheSystem(const image::Image& image,
                                  const SoftCacheConfig& config,
@@ -120,15 +93,13 @@ double SoftCacheSystem::MissRate() const {
 
 MultiClientSystem::MultiClientSystem(const image::Image& image,
                                      const MultiClientConfig& config)
-    : config_(WithEffectiveWorkers(config)),
-      // Every frame is routed through the event loop: the switch feeds a
-      // per-shard lane queue (single lane in borrowed-thread mode), the
-      // loop grants entry into the server core. Single-threaded schedulers
-      // pass through with zero contention. With a trace mux attached, the
-      // dispatch installs the server lane the frame belongs in for the
-      // duration of the handler, so server spans never land in the pumping
-      // client's lane; ServerLaneForFrame uses the same frame->shard
-      // mapping as the router below, so every lane keeps a single writer.
+    : config_(config),
+      // Every frame is routed through the event loop: the switch feeds its
+      // ticket queue and the loop grants entry into the server core.
+      // Single-threaded schedulers pass through with zero contention. With a
+      // trace mux attached, the dispatch installs the server lane the frame
+      // belongs in for the duration of the handler, so server spans never
+      // land in the pumping client's lane.
       loop_(
           [this](uint32_t port, const std::vector<uint8_t>& frame) {
             obs::Tracer* lane = ServerLaneForFrame(frame);
@@ -137,27 +108,12 @@ MultiClientSystem::MultiClientSystem(const image::Image& image,
             obs::TracerScope scope(lane);
             return mc_->HandlePort(port, frame);
           },
-          // Route EVERY frame by its addr word's shard (short or non-chunk
-          // frames peek addr 0 -> the first slice): translations for
-          // different slices queue — and with a worker pool, run —
-          // independently, and frames touching the same slice serialize in
-          // arrival order.
-          [this](uint32_t /*port*/, const std::vector<uint8_t>& frame) {
-            return mc_->server().ShardFor(PeekFrameAddr(frame));
-          },
-          McServerLoopConfig{
-              /*lanes=*/config_.server.workers > 0
-                  ? ServerShards(config_.server)
-                  : 1,
-              /*workers=*/config_.server.workers,
-              /*max_queue=*/config_.server.max_queue}),
+          config_.server.max_queue),
       switch_([this](uint32_t port, const std::vector<uint8_t>& frame) {
         return loop_.Submit(port, frame);
       }) {
   SC_CHECK_GE(config.clients, 1u) << "MultiClientSystem needs a client";
   SC_CHECK_LE(config.clients, kMaxClients) << "exceeds 12-bit wire id space";
-  SC_CHECK_LE(config_.server.workers, ServerShards(config_.server))
-      << "workers must be <= shards";
   obs::EnsureEchoTracerForLogging();
   mc_ = std::make_unique<MemoryController>(
       image, config.base.style, config.base.max_block_instrs,
@@ -231,19 +187,6 @@ void MultiClientSystem::AttachTraceMux(obs::TraceMux* mux) {
     lane->set_thread_affine(false);
     shard_lanes_.push_back(lane);
   }
-  // Worker-pool lanes: one per dedicated server thread, carrying that
-  // worker's loop.ticket spans. Statically single-writer (worker w alone
-  // writes lane w), but created here on the attaching thread, so they use
-  // the external-serialization contract instead of the affinity assert.
-  const uint32_t workers = loop_.workers();
-  worker_lanes_.reserve(workers);
-  for (uint32_t w = 0; w < workers; ++w) {
-    obs::Tracer* lane = mux->AddLane("server", "worker " + std::to_string(w),
-                                     0, 1 + shards + w);
-    lane->set_thread_affine(false);
-    loop_.set_worker_trace_lane(w, lane);
-    worker_lanes_.push_back(lane);
-  }
   // Client lanes: one Perfetto process per VM, clocked by that machine's
   // guest cycle counter so span timestamps read in guest time no matter
   // which host thread runs the client.
@@ -259,13 +202,6 @@ void MultiClientSystem::AttachTraceMux(obs::TraceMux* mux) {
 obs::Tracer* MultiClientSystem::ServerLaneForFrame(
     const std::vector<uint8_t>& frame) const {
   if (loop_lane_ == nullptr) return nullptr;
-  if (loop_.workers() > 0 && !shard_lanes_.empty()) {
-    // Worker mode: the frame's spans belong to the slice that serviced it —
-    // the identical frame->shard mapping the loop's router used to queue
-    // it, so shard lane s is only ever written by the worker that
-    // statically owns lane s.
-    return shard_lanes_[mc_->server().ShardFor(PeekFrameAddr(frame))];
-  }
   const uint32_t type = PeekFrameType(frame);
   if (!shard_lanes_.empty() &&
       (type == static_cast<uint32_t>(MsgType::kChunkRequest) ||

@@ -127,35 +127,15 @@ inline bool ValidateClientCount(int64_t clients, std::string* error) {
   return true;
 }
 
-// CLI-level validation of the server parallelism knobs (--shards /
-// --workers against --clients). NO silent clamping: every nonsensical
-// combination is a clean error the CLI turns into exit 2. The
-// MultiClientSystem constructor treats violations as programmer error and
-// SC_CHECKs instead.
-inline bool ValidateServerParallelism(int64_t shards, int64_t workers,
-                                      int64_t clients, std::string* error) {
+// CLI-level validation of --shards: [1, kMaxClients]. NO silent clamping:
+// an out-of-range count is a clean error the CLI turns into exit 2.
+inline bool ValidateServerParallelism(int64_t shards, std::string* error) {
   if (shards < 1) {
     *error = "shards must be >= 1 (the server core needs at least one slice)";
     return false;
   }
   if (shards > static_cast<int64_t>(kMaxClients)) {
     *error = "shards must be <= " + std::to_string(kMaxClients);
-    return false;
-  }
-  if (workers < 0) {
-    *error = "workers must be >= 0 (0 = borrowed-thread serving)";
-    return false;
-  }
-  if (workers > shards) {
-    *error = "workers must be <= shards (" + std::to_string(workers) + " > " +
-             std::to_string(shards) +
-             "): each worker statically owns whole shard lanes, so extra "
-             "workers would never run";
-    return false;
-  }
-  if (workers > 0 && clients < 2) {
-    *error = "workers requires a multi-client run (--clients >= 2); solo runs "
-             "call the server directly";
     return false;
   }
   return true;
@@ -211,9 +191,8 @@ class MultiClientSystem {
   // Splits instrumentation into per-agent trace lanes inside `mux`: one
   // lane per client VM (process "client <i>", pid i+1, clocked by that
   // machine's guest cycle counter) plus server lanes (the event loop at
-  // pid 0 tid 0, one lane per memo shard at pid 0 tid 1+s, and — when a
-  // worker pool serves — one lane per worker at pid 0 tid 1+shards+w, all
-  // on manual clocks advanced to each ticket's guest-cycle enqueue stamp).
+  // pid 0 tid 0 and one lane per memo shard at pid 0 tid 1+s, all on
+  // manual clocks advanced to each ticket's guest-cycle enqueue stamp).
   // The schedulers install the matching lane into the thread-local tracer
   // slot around every client step and every server dispatch, so each lane
   // stays thread-confined even under host_threads > 1. Call once, before
@@ -257,12 +236,9 @@ class MultiClientSystem {
   // Broadcast-medium snoop: parses one reply frame and feeds every client's
   // content store (shared_reply mode only).
   void SnoopReply(const std::vector<uint8_t>& reply_bytes);
-  // Picks the server lane a dispatched frame's spans belong in. Borrowed-
-  // thread mode: the shard lane for chunk-translate requests, the loop lane
-  // for everything else. Worker mode: ALWAYS the shard lane of the slice
-  // the loop's router queued the frame to — the identical mapping, so each
-  // shard lane has exactly one writer (the worker statically owning that
-  // lane). Null when no mux is attached.
+  // Picks the server lane a dispatched frame's spans belong in: the shard
+  // lane for chunk-translate requests, the loop lane for everything else.
+  // Null when no mux is attached.
   obs::Tracer* ServerLaneForFrame(const std::vector<uint8_t>& frame) const;
   // Round-robin-scheduler half of the periodic-inspection contract: fires
   // the hook whenever the fleet-min cycle count crossed the next threshold.
@@ -279,7 +255,6 @@ class MultiClientSystem {
   std::vector<obs::Tracer*> client_lanes_;
   obs::Tracer* loop_lane_ = nullptr;
   std::vector<obs::Tracer*> shard_lanes_;
-  std::vector<obs::Tracer*> worker_lanes_;
   uint64_t inspect_every_ = 0;
   uint64_t next_inspect_at_ = 0;
   InspectionHook inspection_hook_;

@@ -1,20 +1,18 @@
 // Server-parallelism tests: the per-shard slice ownership of the MC core,
-// the worker-pool event loop in front of it, and the knobs that shape both.
+// the event loop in front of it, and the knob that shapes both.
 //
 // Covers the shard routing edge cases (one shard, a shard count that does
 // not divide the text range, a chunk straddling a shard boundary), the
-// worker-pool loop semantics (static lane ownership, bounded-lane deferral,
-// batch-drain accounting, the park-all exclusive barrier), the CLI-level
-// validation of --shards/--workers combinations, digest-reply coalescing
-// raced against a concurrent same-shard install (a TSan target: two
-// handlers inside the core at once), and end-to-end bit identity — the
-// round-robin fleet must produce identical guest results INCLUDING cycle
-// counts no matter how many workers drain the lanes, crash schedules and
-// all.
+// loop's bounded-queue deferral and park-all exclusive barrier under
+// concurrent submitters, the CLI-level validation of --shards, and
+// digest-reply coalescing raced against a concurrent same-shard install (a
+// TSan target: two handlers inside the core at once).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,14 +22,12 @@
 #include "softcache/protocol.h"
 #include "softcache/server_loop.h"
 #include "softcache/system.h"
-#include "vm/machine.h"
 
 namespace sc {
 namespace {
 
 using softcache::McServerConfig;
 using softcache::McServerLoop;
-using softcache::McServerLoopConfig;
 using softcache::MemoryController;
 using softcache::MsgType;
 using softcache::Reply;
@@ -129,37 +125,29 @@ TEST(ShardRouting, InvalidateRangeStraddlingShardBoundaryDropsBothSlices) {
 }
 
 // ---------------------------------------------------------------------------
-// CLI-level validation of the parallelism knobs
+// CLI-level validation of the shard count
 // ---------------------------------------------------------------------------
 
 TEST(ValidateParallelism, AcceptsAndRejectsTheBoundaries) {
   std::string error;
-  // Happy paths, including workers == shards.
-  EXPECT_TRUE(softcache::ValidateServerParallelism(1, 0, 1, &error));
-  EXPECT_TRUE(softcache::ValidateServerParallelism(4, 4, 2, &error));
-  EXPECT_TRUE(softcache::ValidateServerParallelism(4096, 8, 64, &error));
+  EXPECT_TRUE(softcache::ValidateServerParallelism(1, &error));
+  EXPECT_TRUE(softcache::ValidateServerParallelism(4, &error));
+  EXPECT_TRUE(softcache::ValidateServerParallelism(4096, &error));
 
-  // Zero-value boundaries are hard errors, never silent clamps.
-  EXPECT_FALSE(softcache::ValidateServerParallelism(0, 0, 1, &error));
+  // Out-of-range boundaries are hard errors, never silent clamps.
+  EXPECT_FALSE(softcache::ValidateServerParallelism(0, &error));
   EXPECT_NE(error.find("shards"), std::string::npos);
-  EXPECT_FALSE(softcache::ValidateServerParallelism(4097, 0, 1, &error));
-
-  // workers > shards: extra workers would never own a lane.
-  EXPECT_FALSE(softcache::ValidateServerParallelism(2, 3, 4, &error));
-  EXPECT_NE(error.find("workers"), std::string::npos);
-  EXPECT_FALSE(softcache::ValidateServerParallelism(4, -1, 4, &error));
-
-  // A worker pool needs a fleet: solo runs bypass the loop entirely.
-  EXPECT_FALSE(softcache::ValidateServerParallelism(4, 2, 1, &error));
-  EXPECT_NE(error.find("clients"), std::string::npos);
+  EXPECT_FALSE(softcache::ValidateServerParallelism(4097, &error));
+  EXPECT_NE(error.find("4096"), std::string::npos);
+  EXPECT_FALSE(softcache::ValidateServerParallelism(-1, &error));
 }
 
 // ---------------------------------------------------------------------------
-// Worker-pool loop semantics (test-double handler, no MC underneath)
+// Loop semantics under concurrent submitters (test-double handler, no MC)
 // ---------------------------------------------------------------------------
 
 // Echo handler: reply = [port, frame...]; lets every assertion check that a
-// ticket's reply came from ITS OWN frame, whatever thread serviced it.
+// ticket's reply came from ITS OWN frame, whatever thread pumped it.
 std::vector<uint8_t> Echo(uint32_t port, const std::vector<uint8_t>& frame) {
   std::vector<uint8_t> reply(frame.size() + 1);
   reply[0] = static_cast<uint8_t>(port);
@@ -167,49 +155,10 @@ std::vector<uint8_t> Echo(uint32_t port, const std::vector<uint8_t>& frame) {
   return reply;
 }
 
-TEST(WorkerPool, StaticLaneOwnershipServicesEveryFrame) {
-  // 3 lanes, 2 workers: worker 0 owns lanes {0, 2}, worker 1 owns {1} — a
-  // deliberately non-dividing split. Route by the first frame byte.
-  McServerLoop loop(
-      Echo,
-      [](uint32_t, const std::vector<uint8_t>& frame) {
-        return static_cast<uint32_t>(frame[0]);
-      },
-      McServerLoopConfig{3, 2, 0});
-  constexpr uint32_t kThreads = 4;
-  constexpr uint32_t kFrames = 64;
-  std::vector<std::thread> clients;
-  std::atomic<uint32_t> wrong{0};
-  for (uint32_t t = 0; t < kThreads; ++t) {
-    clients.emplace_back([&loop, &wrong, t] {
-      for (uint32_t i = 0; i < kFrames; ++i) {
-        const std::vector<uint8_t> frame = {static_cast<uint8_t>(i % 3),
-                                            static_cast<uint8_t>(t),
-                                            static_cast<uint8_t>(i)};
-        const std::vector<uint8_t> reply = loop.Submit(t, frame);
-        if (reply.size() != 4 || reply[0] != t || reply[1] != frame[0] ||
-            reply[2] != t || reply[3] != static_cast<uint8_t>(i)) {
-          ++wrong;
-        }
-      }
-    });
-  }
-  for (auto& c : clients) c.join();
-  EXPECT_EQ(wrong.load(), 0u);
-  EXPECT_EQ(loop.stats().requests_enqueued, kThreads * kFrames);
-  // Every serviced frame is attributed to exactly one pool worker.
-  uint64_t worker_frames = 0;
-  for (const auto& w : loop.worker_stats()) worker_frames += w.frames;
-  EXPECT_EQ(worker_frames, kThreads * kFrames);
-  EXPECT_GE(loop.stats().batches_drained, 1u);
-}
-
-TEST(WorkerPool, BoundedLaneDefersTheOverflowingSubmitter) {
-  // One lane bounded at 1 ticket, one worker. The handler parks until a
-  // submitter has been deferred, so the queue admission order is forced:
-  // one ticket in service, one queued (at the bound), one deferred. (Gating
-  // on the submitters' arrival instead let the first ticket finish before
-  // the third submitter reached the lane, and then nothing was deferred.)
+TEST(ServerLoop, BoundedQueueDefersTheOverflowingSubmitter) {
+  // A queue bounded at 1 ticket. The handler parks until a submitter has
+  // been deferred, so the admission order is forced: one ticket in service
+  // (popped by the pumper), one queued (at the bound), one deferred.
   // The handler only runs for a submitted ticket, after `self` is set.
   const McServerLoop* self = nullptr;
   McServerLoop loop(
@@ -219,7 +168,7 @@ TEST(WorkerPool, BoundedLaneDefersTheOverflowingSubmitter) {
         }
         return Echo(port, frame);
       },
-      nullptr, McServerLoopConfig{1, 1, 1});
+      /*max_queue=*/1);
   self = &loop;
   std::vector<std::thread> clients;
   for (uint32_t t = 0; t < 3; ++t) {
@@ -235,45 +184,55 @@ TEST(WorkerPool, BoundedLaneDefersTheOverflowingSubmitter) {
   EXPECT_GE(loop.stats().requests_deferred, 1u);
 }
 
-TEST(WorkerPool, ParkAllExclusiveWaitsOutInFlightHandlers) {
-  std::atomic<uint32_t> in_flight{0};
+TEST(ServerLoop, ParkAllExclusiveWaitsOutInFlightHandlers) {
+  // Service log: "h<port>" on handler entry, "e<port>" on handler exit,
+  // "X" for the exclusive section. Written by one thread at a time (the
+  // pumper or the exclusive), ordered by the loop's own handoffs; the mutex
+  // only makes that visible to the sanitizers.
+  std::mutex log_mu;
+  std::vector<std::string> log;
+  const auto note = [&](std::string event) {
+    std::lock_guard<std::mutex> lock(log_mu);
+    log.push_back(std::move(event));
+  };
   std::atomic<bool> gate{false};
-  McServerLoop loop(
-      [&](uint32_t port, const std::vector<uint8_t>& frame) {
-        ++in_flight;
-        while (!gate.load()) std::this_thread::yield();
-        --in_flight;
-        return Echo(port, frame);
-      },
-      [](uint32_t, const std::vector<uint8_t>& frame) {
-        return static_cast<uint32_t>(frame[0]);
-      },
-      McServerLoopConfig{2, 2, 0});
-  // Two tickets in flight, one per worker, both parked inside the handler.
-  std::thread c0([&loop] { loop.Submit(0, {0}); });
-  std::thread c1([&loop] { loop.Submit(1, {1}); });
-  while (in_flight.load() < 2) std::this_thread::yield();
+  McServerLoop loop([&](uint32_t port, const std::vector<uint8_t>& frame) {
+    note("h" + std::to_string(port));
+    if (port == 0) {
+      while (!gate.load()) std::this_thread::yield();
+    }
+    note("e" + std::to_string(port));
+    return Echo(port, frame);
+  });
+  // Submitter 0 pumps its own ticket and parks inside the handler;
+  // submitter 1 queues behind it.
+  std::thread c0([&loop] { EXPECT_EQ(loop.Submit(0, {0})[0], 0u); });
+  while (loop.LiveStats().requests_enqueued < 1) std::this_thread::yield();
+  std::thread c1([&loop] { EXPECT_EQ(loop.Submit(1, {1})[0], 1u); });
+  while (loop.LiveStats().requests_enqueued < 2) std::this_thread::yield();
 
   std::atomic<bool> ran{false};
-  std::atomic<uint32_t> observed{99};
   std::thread excl([&] {
     loop.RunExclusive([&] {
-      observed = in_flight.load();  // must be 0: the barrier drained first
+      note("X");
       ran = true;
     });
   });
-  // The exclusive section must NOT start while handlers are in flight.
+  while (loop.LiveStats().exclusive_sections < 1) std::this_thread::yield();
+  // The exclusive section must NOT start while the handler is in flight.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(ran.load());
-  gate = true;  // drain the handlers; the barrier then admits the exclusive
+  gate = true;  // drain the handler; the barrier then admits the exclusive
   excl.join();
   c0.join();
   c1.join();
   EXPECT_TRUE(ran.load());
-  EXPECT_EQ(observed.load(), 0u);
+  // The in-flight handler finished before the exclusive, and the queued
+  // ticket did not start until the exclusive was over.
+  EXPECT_EQ(log, (std::vector<std::string>{"h0", "e0", "X", "h1", "e1"}));
   EXPECT_EQ(loop.stats().exclusive_sections, 1u);
 
-  // The lanes resume after the exclusive: a fresh ticket still completes.
+  // The pump resumes after the exclusive: a fresh ticket still completes.
   const std::vector<uint8_t> reply = loop.Submit(5, {0});
   EXPECT_EQ(reply[0], 5u);
 }
@@ -329,69 +288,6 @@ TEST(SharedReplyRace, ConcurrentSameShardDemandsStayCoherent) {
   EXPECT_EQ(mc.server().shard_memo_entries(0), 8u);
   EXPECT_GE(stats.digest_replies, 1u);
   EXPECT_EQ(stats.translates + stats.translate_memo_hits, 2 * kRounds);
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end bit identity across worker counts
-// ---------------------------------------------------------------------------
-
-struct FleetStory {
-  std::vector<std::string> outputs;
-  std::vector<uint64_t> cycles;
-  std::vector<uint64_t> instructions;
-  uint64_t translates = 0;
-};
-
-FleetStory RunFleetStory(const image::Image& img, uint32_t shards,
-                         uint32_t workers, uint64_t crash_period = 0) {
-  softcache::MultiClientConfig config;
-  config.clients = 4;
-  config.base.style = softcache::Style::kSparc;
-  config.base.tcache_bytes = 8 * 1024;
-  config.server.shards = shards;
-  config.server.workers = workers;
-  if (crash_period != 0) {
-    config.base.fault.seed = 11;
-    config.base.fault.crash_period = crash_period;
-  }
-  softcache::MultiClientSystem fleet(img, config);
-  const auto results = fleet.RunAll(200'000'000ull);
-  FleetStory story;
-  for (uint32_t i = 0; i < config.clients; ++i) {
-    SC_CHECK(results[i].reason == vm::StopReason::kHalted)
-        << "client " << i << ": " << results[i].fault_message;
-    story.outputs.push_back(fleet.OutputString(i));
-    story.cycles.push_back(results[i].cycles);
-    story.instructions.push_back(results[i].instructions);
-  }
-  story.translates = fleet.mc().server().stats().translates;
-  return story;
-}
-
-TEST(WorkerFleetIdentity, RoundRobinIsBitIdenticalAcrossWorkerCounts) {
-  const image::Image img = LoopImage();
-  // The round-robin scheduler keeps ONE frame in flight fleet-wide, so the
-  // worker pool may change nothing at all — cycles included.
-  const FleetStory w0 = RunFleetStory(img, 2, 0);
-  const FleetStory w1 = RunFleetStory(img, 2, 1);
-  const FleetStory w2 = RunFleetStory(img, 2, 2);
-  EXPECT_EQ(w0.outputs, w1.outputs);
-  EXPECT_EQ(w0.outputs, w2.outputs);
-  EXPECT_EQ(w0.cycles, w1.cycles);
-  EXPECT_EQ(w0.cycles, w2.cycles);
-  EXPECT_EQ(w0.instructions, w2.instructions);
-  EXPECT_EQ(w0.translates, w2.translates);
-}
-
-TEST(WorkerFleetIdentity, CrashRestartsAreIdenticalUnderWorkers) {
-  const image::Image img = LoopImage();
-  // Server crash schedules restart sessions through the loop's park-all
-  // exclusive section; a worker pool must not change what the guest sees.
-  const FleetStory w0 = RunFleetStory(img, 2, 0, /*crash_period=*/3000);
-  const FleetStory w2 = RunFleetStory(img, 2, 2, /*crash_period=*/3000);
-  EXPECT_EQ(w0.outputs, w2.outputs);
-  EXPECT_EQ(w0.cycles, w2.cycles);
-  EXPECT_EQ(w0.instructions, w2.instructions);
 }
 
 }  // namespace

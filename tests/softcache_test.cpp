@@ -967,6 +967,65 @@ TEST(Protocol, CorruptedTextWriteRejectedByMc) {
   EXPECT_EQ(mc.image().text, img.text);
 }
 
+// ---------------------------------------------------------------------------
+// CLI-level validation of the client knobs: a hostile value is an error
+// string, never an assert or a giant allocation
+// ---------------------------------------------------------------------------
+
+TEST(CacheFlags, ValidateCacheFlagsBoundaries) {
+  std::string error;
+  EXPECT_TRUE(softcache::ValidateCacheFlags(64, 1, 1, &error));
+  EXPECT_TRUE(softcache::ValidateCacheFlags(16 * 1024, 4, 3, &error));
+  EXPECT_TRUE(softcache::ValidateCacheFlags(128 * 1024, 1, INT32_MAX, &error));
+
+  // tcache: below the floor, not a word multiple, past branch reach, and
+  // the wrapped-around value a negative flag parses to.
+  for (const int64_t tcache : {0ll, 3ll, 60ll, 66ll, 128ll * 1024 + 4,
+                               99'999'999ll, -5ll}) {
+    EXPECT_FALSE(softcache::ValidateCacheFlags(tcache, 1, 1, &error))
+        << "tcache=" << tcache;
+    EXPECT_NE(error.find("tcache"), std::string::npos);
+  }
+  EXPECT_FALSE(softcache::ValidateCacheFlags(2048, 0, 1, &error));
+  EXPECT_NE(error.find("trace-blocks"), std::string::npos);
+  EXPECT_FALSE(softcache::ValidateCacheFlags(2048, -1, 1, &error));
+  EXPECT_FALSE(softcache::ValidateCacheFlags(2048, 1, 0, &error));
+  EXPECT_NE(error.find("scale"), std::string::npos);
+  EXPECT_FALSE(softcache::ValidateCacheFlags(2048, 1, -1, &error));
+  EXPECT_FALSE(
+      softcache::ValidateCacheFlags(2048, 1, int64_t{INT32_MAX} + 1, &error));
+}
+
+TEST(CacheFlags, StyleAndEvictNamesParseOrFail) {
+  Style style = Style::kSparc;
+  EXPECT_TRUE(softcache::ParseStyle("arm", &style));
+  EXPECT_EQ(style, Style::kArm);
+  EXPECT_TRUE(softcache::ParseStyle("sparc", &style));
+  EXPECT_EQ(style, Style::kSparc);
+  // Unknown names fail and leave the output untouched.
+  EXPECT_FALSE(softcache::ParseStyle("bogus", &style));
+  EXPECT_FALSE(softcache::ParseStyle("", &style));
+  EXPECT_EQ(style, Style::kSparc);
+
+  EvictPolicy evict = EvictPolicy::kFifoRing;
+  EXPECT_TRUE(softcache::ParseEvictPolicy("flush", &evict));
+  EXPECT_EQ(evict, EvictPolicy::kFlushAll);
+  EXPECT_TRUE(softcache::ParseEvictPolicy("fifo", &evict));
+  EXPECT_EQ(evict, EvictPolicy::kFifoRing);
+  EXPECT_FALSE(softcache::ParseEvictPolicy("bogus", &evict));
+  EXPECT_EQ(evict, EvictPolicy::kFifoRing);
+}
+
+// The constructor checks the tcache geometry before it sizes any table from
+// it: a 4 GB tcache dies on the check, not in a 4 GB table allocation.
+TEST(CacheFlagsDeathTest, HugeTcacheFailsBeforeAnyTableIsSized) {
+  const image::Image img = Compile(kFibProgram);
+  SoftCacheConfig config;
+  config.tcache_bytes = 0xfffffffcu;
+  EXPECT_DEATH({ SoftCacheSystem system(img, config); },
+               "tcache exceeds branch reach");
+}
+
 TEST(Protocol, PerChunkOverheadIs60Bytes) {
   // The constant the paper reports for the ARM prototype.
   EXPECT_EQ(softcache::kPerChunkOverheadBytes, 60u);

@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
        "input", "stats", "profile", "max-instr", "dump-tcache", "help",
        "workload", "scale", "prefetch", "trace", "metrics", "crash-period",
        "crash-after", "crash-rate", "crash-at-cycle", "fault-seed", "clients",
-       "verify", "shared-reply", "shards", "workers", "threads", "engine",
+       "verify", "shared-reply", "shards", "threads", "engine",
        "inspect", "inspect-every", "memfaults", "scrub-every"});
   const bool use_workload = args.Has("workload");
   const size_t want_positional = use_workload ? 0 : 1;
@@ -171,14 +171,41 @@ int main(int argc, char** argv) {
                  "            [--shared-reply]     content-addressed coalesced\n"
                  "                                 replies (broadcast snooping)\n"
                  "            [--shards=N]         server memo/translate shards\n"
-                 "            [--workers=N]        dedicated server threads\n"
-                 "                                 draining the shard lanes\n"
-                 "                                 (0 = borrowed-thread serving;\n"
-                 "                                 requires N <= shards)\n"
                  "            [--threads=N]        host threads for client VMs\n"
                  "            [--verify]           re-run each client solo and\n"
                  "                                 check bit-identical behavior\n",
                  static_cast<unsigned>(softcache::kMaxClients));
+    return 2;
+  }
+
+  // Validate the client knobs up front: a hostile value is a usage error
+  // reported on stderr (exit 2), never an assert or a giant allocation deep
+  // inside the cache.
+  const int64_t tcache_arg =
+      static_cast<int64_t>(args.GetInt("tcache", 16 * 1024));
+  const int64_t trace_blocks_arg =
+      static_cast<int64_t>(args.GetInt("trace-blocks", 1));
+  const int64_t scale_arg = static_cast<int64_t>(args.GetInt("scale", 1));
+  std::string flag_error;
+  if (!softcache::ValidateCacheFlags(tcache_arg, trace_blocks_arg, scale_arg,
+                                     &flag_error)) {
+    std::fprintf(stderr, "--tcache=%lld --trace-blocks=%lld --scale=%lld: %s\n",
+                 static_cast<long long>(tcache_arg),
+                 static_cast<long long>(trace_blocks_arg),
+                 static_cast<long long>(scale_arg), flag_error.c_str());
+    return 2;
+  }
+  softcache::Style style = softcache::Style::kSparc;
+  if (const std::string name = args.Get("style", "sparc");
+      !softcache::ParseStyle(name, &style)) {
+    std::fprintf(stderr, "unknown style '%s' (sparc|arm)\n", name.c_str());
+    return 2;
+  }
+  softcache::EvictPolicy evict = softcache::EvictPolicy::kFifoRing;
+  if (const std::string name = args.Get("evict", "fifo");
+      !softcache::ParseEvictPolicy(name, &evict)) {
+    std::fprintf(stderr, "unknown evict policy '%s' (fifo|flush)\n",
+                 name.c_str());
     return 2;
   }
 
@@ -192,8 +219,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     img = workloads::CompileWorkload(*spec);
-    input = workloads::MakeInput(spec->name,
-                                 static_cast<int>(args.GetInt("scale", 1)));
+    input = workloads::MakeInput(spec->name, static_cast<int>(scale_arg));
   } else {
     const std::string path = args.positional()[0];
     if (path.size() > 3 && path.substr(path.size() - 3) == ".mc") {
@@ -273,13 +299,10 @@ int main(int argc, char** argv) {
 
   // Software-cached execution.
   softcache::SoftCacheConfig config;
-  config.style = args.Get("style", "sparc") == "arm" ? softcache::Style::kArm
-                                                     : softcache::Style::kSparc;
-  config.tcache_bytes = static_cast<uint32_t>(args.GetInt("tcache", 16 * 1024));
-  config.max_trace_blocks = static_cast<uint32_t>(args.GetInt("trace-blocks", 1));
-  config.evict = args.Get("evict", "fifo") == "flush"
-                     ? softcache::EvictPolicy::kFlushAll
-                     : softcache::EvictPolicy::kFifoRing;
+  config.style = style;
+  config.tcache_bytes = static_cast<uint32_t>(tcache_arg);
+  config.max_trace_blocks = static_cast<uint32_t>(trace_blocks_arg);
+  config.evict = evict;
   const std::string prefetch = args.Get("prefetch", "off");
   if (prefetch == "nextn") {
     config.prefetch.policy = softcache::PrefetchPolicy::kNextN;
@@ -323,18 +346,13 @@ int main(int argc, char** argv) {
   }
   const uint32_t n_clients = static_cast<uint32_t>(clients_arg);
 
-  // Same pattern for the server parallelism knobs: every nonsensical
-  // --shards/--workers combination is a usage error (exit 2), NEVER a
-  // silent clamp — a benchmark invoked with --workers=8 --shards=4 must
-  // not quietly measure a 4-worker server.
+  // Same pattern for --shards: out of range is a usage error (exit 2),
+  // NEVER a silent clamp.
   const int64_t shards_arg = static_cast<int64_t>(args.GetInt("shards", 1));
-  const int64_t workers_arg = static_cast<int64_t>(args.GetInt("workers", 0));
-  std::string parallel_error;
-  if (!softcache::ValidateServerParallelism(shards_arg, workers_arg,
-                                            clients_arg, &parallel_error)) {
-    std::fprintf(stderr, "--shards=%lld --workers=%lld: %s\n",
-                 static_cast<long long>(shards_arg),
-                 static_cast<long long>(workers_arg), parallel_error.c_str());
+  std::string shards_error;
+  if (!softcache::ValidateServerParallelism(shards_arg, &shards_error)) {
+    std::fprintf(stderr, "--shards=%lld: %s\n",
+                 static_cast<long long>(shards_arg), shards_error.c_str());
     return 2;
   }
 
@@ -366,7 +384,6 @@ int main(int argc, char** argv) {
     mcfg.base = config;
     mcfg.base.shared_reply = args.Has("shared-reply");
     mcfg.server.shards = static_cast<uint32_t>(shards_arg);
-    mcfg.server.workers = static_cast<uint32_t>(workers_arg);
     // The server memo rides the same fault schedule (its own salted RNG
     // stream), so --memfaults storms every layer of the stack at once.
     mcfg.server.memfault = config.integrity.memfault;
