@@ -128,15 +128,15 @@ struct ChaosRun {
 ChaosRun RunSolo(const image::Image& img, const std::vector<uint8_t>& input,
                  const softcache::SoftCacheConfig& config, vm::Engine engine,
                  const softcache::McServerConfig& server = {}) {
-  softcache::SoftCacheSystem system(img, config, server);
-  system.machine().set_engine(engine);
-  system.SetInput(input);
+  softcache::MultiClientSystem system(img, {.base = config, .server = server});
+  system.machine(0).set_engine(engine);
+  system.SetInput(0, input);
   ChaosRun run;
-  run.result = system.Run(16'000'000'000ull);
+  run.result = system.RunAll(16'000'000'000ull)[0];
   SC_CHECK(run.result.reason == vm::StopReason::kHalted)
       << "chaos run failed: " << run.result.fault_message;
-  run.output = system.OutputString();
-  run.integrity = system.stats().integrity;
+  run.output = system.OutputString(0);
+  run.integrity = system.cc(0).stats().integrity;
   run.server = system.mc().server().stats();
   return run;
 }

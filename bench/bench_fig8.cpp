@@ -57,10 +57,10 @@ int main() {
   // steady-state footprint alone (the paper's "hot code" set).
   uint64_t steady_bytes = 0;
   {
-    softcache::SoftCacheSystem system(img, probe);
-    system.SetInput(input);
-    (void)system.Run(probe_run.result.instructions * 80 / 100);
-    steady_bytes = system.stats().tcache_bytes_used_peak;
+    softcache::MultiClientSystem system(img, {.base = probe});
+    system.SetInput(0, input);
+    system.RunAll(probe_run.result.instructions * 80 / 100);
+    steady_bytes = system.cc(0).stats().tcache_bytes_used_peak;
   }
   std::printf("steady-state footprint: %s;  with terminal routines: %s;  "
               "input scale %d\n",
@@ -84,14 +84,14 @@ int main() {
     config.style = softcache::Style::kArm;
     config.tcache_bytes = size;
     config.channel.clock_hz = kClockHz;
-    softcache::SoftCacheSystem system(img, config);
-    system.SetInput(input);
-    const vm::RunResult result = system.Run(16'000'000'000ull);
+    softcache::MultiClientSystem system(img, {.base = config});
+    system.SetInput(0, input);
+    const vm::RunResult result = system.RunAll(16'000'000'000ull)[0];
     if (result.reason != vm::StopReason::kHalted) break;  // chunk > cache
     const uint64_t lo = result.cycles * 20 / 100;
     const uint64_t hi = result.cycles * 80 / 100;
     const uint64_t mid_evictions =
-        system.stats().eviction_timeline.CountInRange(lo, hi);
+        system.cc(0).stats().eviction_timeline.CountInRange(lo, hi);
     const double mid_rate = static_cast<double>(mid_evictions) /
                             (static_cast<double>(hi - lo) / kClockHz);
     sweep.push_back({size, mid_rate});

@@ -45,16 +45,16 @@ int main(int argc, char** argv) {
     const bench::CachedRun icache_run = bench::RunCachedWorkload(img, input, config);
 
     // (c) I-cache + D-cache.
-    softcache::SoftCacheSystem system(img, config);
-    system.SetInput(input);
+    softcache::MultiClientSystem system(img, {.base = config});
+    system.SetInput(0, input);
     dcache::DCacheConfig dconfig;
-    dconfig.local_base = system.cc().local_limit();
+    dconfig.local_base = system.cc(0).local_limit();
     dconfig.dcache_blocks = 1024;
     dconfig.block_bytes = 64;
-    dcache::DataCache data_cache(system.machine(), system.mc(), system.channel(),
-                                 dconfig);
+    dcache::DataCache data_cache(system.machine(0), system.mc(),
+                                 system.channel(0), dconfig);
     data_cache.Attach();
-    const vm::RunResult full = system.Run(16'000'000'000ull);
+    const vm::RunResult full = system.RunAll(16'000'000'000ull)[0];
     SC_CHECK(full.reason == vm::StopReason::kHalted) << full.fault_message;
     data_cache.FlushAll();
 
@@ -67,10 +67,11 @@ int main(int argc, char** argv) {
     }
 
     const auto& ds = data_cache.stats();
-    const uint64_t local_mem = system.stats().tcache_bytes_used_peak +
-                               system.stats().return_stub_words * 4 +
-                               system.stats().redirector_words * 4 +
-                               (data_cache.local_limit() - system.cc().local_limit());
+    const uint64_t local_mem = system.cc(0).stats().tcache_bytes_used_peak +
+                               system.cc(0).stats().return_stub_words * 4 +
+                               system.cc(0).stats().redirector_words * 4 +
+                               (data_cache.local_limit() -
+                                system.cc(0).local_limit());
     std::printf("%-12s %10.2f %10.2f %11.2f%% %9.3f%% %12s\n", wl.name.c_str(),
                 static_cast<double>(icache_run.result.cycles) / ideal,
                 static_cast<double>(full.cycles) / ideal,

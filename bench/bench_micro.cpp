@@ -93,8 +93,8 @@ void BM_SoftCacheColdStart(benchmark::State& state) {
   for (auto _ : state) {
     softcache::SoftCacheConfig config;
     config.tcache_bytes = 16 * 1024;
-    softcache::SoftCacheSystem system(LoopImage(), config);
-    const vm::RunResult run = system.Run();
+    softcache::MultiClientSystem system(LoopImage(), {.base = config});
+    const vm::RunResult run = system.RunAll()[0];
     benchmark::DoNotOptimize(run.cycles);
   }
 }

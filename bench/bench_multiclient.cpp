@@ -289,9 +289,9 @@ uint64_t Fnv64(const uint8_t* data, size_t len, uint64_t h) {
 // paying for a guest Machine per client.
 std::vector<uint32_t> RecordDemandAddrs(const image::Image& img,
                                         const std::vector<uint8_t>& input) {
-  softcache::SoftCacheSystem system(img, BaseConfig());
-  system.SetInput(input);
-  const vm::RunResult r = system.Run(16'000'000'000ull);
+  softcache::MultiClientSystem system(img, {.base = BaseConfig()});
+  system.SetInput(0, input);
+  const vm::RunResult r = system.RunAll(16'000'000'000ull)[0];
   SC_CHECK(r.reason == vm::StopReason::kHalted) << r.fault_message;
   std::vector<uint32_t> addrs;
   for (const auto& row : system.mc().server().SnapshotMemo()) {

@@ -23,11 +23,11 @@ double CachedRunL1MissRate(const image::Image& img,
   softcache::SoftCacheConfig config;
   config.tcache_bytes = 48 * 1024;
   config.max_trace_blocks = trace_blocks;
-  softcache::SoftCacheSystem system(img, config);
-  system.SetInput(input);
+  softcache::MultiClientSystem system(img, {.base = config});
+  system.SetInput(0, input);
   hwsim::ICacheProbe probe(l1);
-  system.machine().set_fetch_observer(&probe);
-  const vm::RunResult result = system.Run(8'000'000'000ull);
+  system.machine(0).set_fetch_observer(&probe);
+  const vm::RunResult result = system.RunAll(8'000'000'000ull)[0];
   SC_CHECK(result.reason == vm::StopReason::kHalted) << result.fault_message;
   return probe.stats().miss_rate();
 }

@@ -98,30 +98,30 @@ void PrintRow(const Row& row) {
 bench::CachedRun RunWithDcache(const image::Image& img,
                                const std::vector<uint8_t>& input,
                                const softcache::SoftCacheConfig& config) {
-  softcache::SoftCacheSystem system(img, config);
-  system.SetInput(input);
+  softcache::MultiClientSystem system(img, {.base = config});
+  system.SetInput(0, input);
   dcache::DCacheConfig dconfig;
-  dconfig.local_base = system.cc().local_limit();
+  dconfig.local_base = system.cc(0).local_limit();
   dconfig.fault = config.fault;
-  dcache::DataCache dc(system.machine(), system.mc(), system.channel(),
+  dcache::DataCache dc(system.machine(0), system.mc(), system.channel(0),
                        dconfig);
   dc.Attach();
   bench::CachedRun run;
-  run.result = system.Run(16'000'000'000ull);
+  run.result = system.RunAll(16'000'000'000ull)[0];
   SC_CHECK(run.result.reason == vm::StopReason::kHalted)
       << "dcache run failed: " << run.result.fault_message;
   dc.FlushAll();
   SC_CHECK(!dc.failed()) << "dcache session failed";
   if (config.fault.crash_enabled()) {
-    SC_CHECK(system.cc().SyncSession()) << "cc session failed to synchronize";
+    SC_CHECK(system.cc(0).SyncSession()) << "cc session failed to synchronize";
   }
-  run.stats = system.stats();
+  run.stats = system.cc(0).stats();
   run.stats.session.recoveries += dc.stats().session.recoveries;
   run.stats.session.journal_replays += dc.stats().session.journal_replays;
   run.stats.session.recovery_cycles += dc.stats().session.recovery_cycles;
-  run.net = system.channel().stats();
-  run.mc_restarts = system.mc().restarts();
-  run.output = system.machine().OutputString();
+  run.net = system.channel(0).stats();
+  run.mc_restarts = system.mc().server().stats().restarts;
+  run.output = system.machine(0).OutputString();
   return run;
 }
 
@@ -278,7 +278,8 @@ int main(int argc, char** argv) {
     std::printf("\nwrote merged recovery trace %s (%zu lanes, %llu MC "
                 "restarts survived)\n",
                 trace_path.c_str(), mux.lane_count(),
-                static_cast<unsigned long long>(fleet.mc().restarts()));
+                static_cast<unsigned long long>(
+                    fleet.mc().server().stats().restarts));
   }
 
   WriteJson(out_path, rows);

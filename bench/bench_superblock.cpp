@@ -87,15 +87,15 @@ Timed RunSoftcacheTimed(const image::Image& img,
   softcache::SoftCacheConfig config;
   config.style = softcache::Style::kSparc;
   config.tcache_bytes = tcache_bytes;
-  softcache::SoftCacheSystem system(img, config);
-  system.machine().set_engine(engine);
-  system.SetInput(input);
+  softcache::MultiClientSystem system(img, {.base = config});
+  system.machine(0).set_engine(engine);
+  system.SetInput(0, input);
   Timed t;
   const uint64_t t0 = NowNs();
-  t.result = system.Run(16'000'000'000ull);
+  t.result = system.RunAll(16'000'000'000ull)[0];
   t.wall_ns = NowNs() - t0;
-  t.output = system.OutputString();
-  t.sb = system.machine().sb_stats();
+  t.output = system.OutputString(0);
+  t.sb = system.machine(0).sb_stats();
   return t;
 }
 

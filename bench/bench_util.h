@@ -52,23 +52,23 @@ struct CachedRun {
 inline CachedRun RunCachedWorkload(const image::Image& img,
                                    const std::vector<uint8_t>& input,
                                    const softcache::SoftCacheConfig& config) {
-  softcache::SoftCacheSystem system(img, config);
-  system.SetInput(input);
+  softcache::MultiClientSystem system(img, {.base = config});
+  system.SetInput(0, input);
   CachedRun run;
-  run.result = system.Run(16'000'000'000ull);
+  run.result = system.RunAll(16'000'000'000ull)[0];
   SC_CHECK(run.result.reason == vm::StopReason::kHalted)
       << "softcache run failed: " << run.result.fault_message;
   if (config.fault.crash_enabled()) {
     // A crash after the CC's last RPC must still replay the journal so the
     // MC's image matches; the barrier is part of the measured run.
-    SC_CHECK(system.cc().SyncSession()) << "session failed to synchronize";
+    SC_CHECK(system.cc(0).SyncSession()) << "session failed to synchronize";
   }
-  run.stats = system.stats();
-  run.net = system.channel().stats();
-  run.resident_blocks = system.cc().ResidentBlocks();
-  run.live_bytes = system.cc().live_tcache_bytes();
-  run.mc_restarts = system.mc().restarts();
-  run.output = system.machine().OutputString();
+  run.stats = system.cc(0).stats();
+  run.net = system.channel(0).stats();
+  run.resident_blocks = system.cc(0).ResidentBlocks();
+  run.live_bytes = system.cc(0).live_tcache_bytes();
+  run.mc_restarts = system.mc().server().stats().restarts;
+  run.output = system.machine(0).OutputString();
   return run;
 }
 

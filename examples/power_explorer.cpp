@@ -57,15 +57,15 @@ int main(int argc, char** argv) {
   for (const uint32_t size : {2048u, 4096u, 8192u, 16384u, 32768u}) {
     softcache::SoftCacheConfig config;
     config.tcache_bytes = size;
-    softcache::SoftCacheSystem system(img, config);
-    system.SetInput(input);
-    const vm::RunResult run = system.Run();
+    softcache::MultiClientSystem system(img, {.base = config});
+    system.SetInput(0, input);
+    const vm::RunResult run = system.RunAll()[0];
     if (run.reason != vm::StopReason::kHalted) {
       std::printf("%9.1fK %10s (working set exceeds memory: %s)\n",
                   size / 1024.0, "-", run.fault_message.c_str());
       continue;
     }
-    const auto& stats = system.stats();
+    const auto& stats = system.cc(0).stats();
     const uint64_t wss = stats.tcache_bytes_used_peak;
     const uint32_t banks_total = 16;
     const uint32_t banks = static_cast<uint32_t>(

@@ -6,7 +6,8 @@
 // This is the smallest end-to-end tour of the public API:
 //   minicc::CompileMiniC  -> image::Image
 //   vm::Machine           -> direct execution (the "ideal" baseline)
-//   softcache::SoftCacheSystem -> client/server cached execution
+//   softcache::MultiClientSystem -> client/server cached execution (one
+//                                client here; the same system runs fleets)
 #include <cstdio>
 
 #include "minicc/compiler.h"
@@ -64,20 +65,20 @@ int main() {
   softcache::SoftCacheConfig config;
   config.style = softcache::Style::kSparc;
   config.tcache_bytes = 8 * 1024;
-  softcache::SoftCacheSystem system(*img, config);
-  const vm::RunResult cached = system.Run();
-  std::printf("\n[softcache] %s", system.OutputString().c_str());
+  softcache::MultiClientSystem system(*img, {.base = config});
+  const vm::RunResult cached = system.RunAll()[0];
+  std::printf("\n[softcache] %s", system.OutputString(0).c_str());
   std::printf("[softcache] %llu instructions, %llu cycles (%.2fx ideal)\n",
               (unsigned long long)cached.instructions,
               (unsigned long long)cached.cycles,
               (double)cached.cycles / (double)native.cycles);
-  const auto& stats = system.stats();
+  const auto& stats = system.cc(0).stats();
   std::printf(
       "[softcache] %llu blocks translated, %llu evictions, %llu bytes over "
       "the wire\n",
       (unsigned long long)stats.blocks_translated,
       (unsigned long long)stats.evictions,
-      (unsigned long long)system.channel().stats().total_bytes());
+      (unsigned long long)system.channel(0).stats().total_bytes());
   std::printf(
       "[softcache] exit code matches native: %s\n",
       cached.exit_code == native.exit_code ? "yes" : "NO (bug!)");

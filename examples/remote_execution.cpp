@@ -34,20 +34,20 @@ int main(int argc, char** argv) {
   config.tcache_bytes = 6 * 1024;
   config.channel.bits_per_second = mbps * 1'000'000;
 
-  softcache::SoftCacheSystem system(img, config);
-  system.SetInput(input);
+  softcache::MultiClientSystem system(img, {.base = config});
+  system.SetInput(0, input);
 
   // Attach a software D-cache so data also lives behind the link, placed in
   // local memory just past the I-cache regions.
   dcache::DCacheConfig dconfig;
-  dconfig.local_base = system.cc().local_limit();
+  dconfig.local_base = system.cc(0).local_limit();
   dconfig.dcache_blocks = 512;
   dconfig.block_bytes = 64;
-  dcache::DataCache data_cache(system.machine(), system.mc(), system.channel(),
-                               dconfig);
+  dcache::DataCache data_cache(system.machine(0), system.mc(),
+                               system.channel(0), dconfig);
   data_cache.Attach();
 
-  const vm::RunResult result = system.Run();
+  const vm::RunResult result = system.RunAll()[0];
   if (result.reason != vm::StopReason::kHalted) {
     std::fprintf(stderr, "fault: %s\n", result.fault_message.c_str());
     return 1;
@@ -55,14 +55,14 @@ int main(int argc, char** argv) {
   data_cache.FlushAll();
 
   // Show the tail of the console (the compressed head is binary).
-  const std::string out = system.OutputString();
+  const std::string out = system.OutputString(0);
   const size_t stats_pos = out.find("== gzip stats ==");
   std::printf("--- client console (stats tail) ---\n%s\n",
               stats_pos == std::string::npos ? out.c_str()
                                              : out.c_str() + stats_pos);
 
-  const auto& net = system.channel().stats();
-  const auto& code = system.stats();
+  const auto& net = system.channel(0).stats();
+  const auto& code = system.cc(0).stats();
   const auto& data = data_cache.stats();
   std::printf("--- protocol accounting ---\n");
   std::printf("%-28s %12s\n", "", "count/bytes");

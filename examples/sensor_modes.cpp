@@ -133,16 +133,16 @@ int main() {
   softcache::SoftCacheConfig config;
   config.style = softcache::Style::kSparc;
   config.tcache_bytes = 1536;
-  softcache::SoftCacheSystem system(*img, config);
-  system.SetInput(schedule);
-  const vm::RunResult result = system.Run();
+  softcache::MultiClientSystem system(*img, {.base = config});
+  system.SetInput(0, schedule);
+  const vm::RunResult result = system.RunAll()[0];
   if (result.reason != vm::StopReason::kHalted) {
     std::fprintf(stderr, "fault: %s\n", result.fault_message.c_str());
     return 1;
   }
-  std::printf("\n--- device console ---\n%s", system.OutputString().c_str());
+  std::printf("\n--- device console ---\n%s", system.OutputString(0).c_str());
 
-  const auto& stats = system.stats();
+  const auto& stats = system.cc(0).stats();
   std::printf("\n--- softcache behaviour ---\n");
   std::printf("schedule:            %s (one mode active per phase)\n",
               schedule.c_str());

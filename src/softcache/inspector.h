@@ -37,7 +37,6 @@ namespace sc::softcache {
 class CacheController;
 class MemoryController;
 class MultiClientSystem;
-class SoftCacheSystem;
 
 class Inspector {
  public:
@@ -45,8 +44,7 @@ class Inspector {
   // (crash-recovery hook) walks only server-side state.
   enum class Scope { kFull, kServerOnly };
 
-  explicit Inspector(SoftCacheSystem* solo) : solo_(solo) {}
-  explicit Inspector(MultiClientSystem* fleet) : fleet_(fleet) {}
+  explicit Inspector(MultiClientSystem* system) : system_(system) {}
 
   // Writes one snapshot document. `reason` is recorded verbatim ("final",
   // "periodic", "fault", "recovery"); each call bumps the sequence number.
@@ -64,8 +62,7 @@ class Inspector {
                    CacheController& cc);
   void WriteServer(std::ostream& out, const MemoryController& mc);
 
-  SoftCacheSystem* solo_ = nullptr;
-  MultiClientSystem* fleet_ = nullptr;
+  MultiClientSystem* system_;
   uint64_t seq_ = 0;
 };
 

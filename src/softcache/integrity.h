@@ -105,12 +105,6 @@ struct IntegrityConfig {
   bool enabled = false;
   MemFaultConfig memfault;
 
-  // Scheduler-quantum slicing: integrity ticks fire every this many guest
-  // instructions. Matches MultiClientConfig::quantum_instructions so the
-  // tick sequence is identical whether the client runs solo, round-robin
-  // scheduled, or on a host-thread pool.
-  uint64_t quantum_instructions = 1024;
-
   // Background scrub cadence, in integrity ticks (0 = verify-on-use only).
   // Executable domains (tcache blocks, superblocks) are *injected* only on
   // scrub ticks, inject-then-scrub, so a flip is always detected before

@@ -407,15 +407,6 @@ void McSession::ReadData(uint32_t addr, uint32_t len, uint8_t* out) const {
   }
 }
 
-void McSession::OverlayData(std::vector<uint8_t>* flat) const {
-  for (const auto& [page, bytes] : data_pages_) {
-    const size_t base = static_cast<size_t>(page) * kMcCowPageBytes;
-    if (base >= flat->size()) continue;
-    std::memcpy(flat->data() + base, bytes.data(),
-                std::min<size_t>(kMcCowPageBytes, flat->size() - base));
-  }
-}
-
 void McSession::RecordTextWrite(uint32_t addr,
                                 const std::vector<uint8_t>& bytes) {
   pending_text_.push_back(PendingWrite{addr, bytes});
@@ -451,7 +442,6 @@ void McSession::RecordDataWrite(uint32_t addr,
 void McSession::Restart() {
   if (private_image_) private_image_->text = stable_text_;
   data_pages_ = stable_pages_;
-  ++data_version_;
   pending_text_.clear();
   pending_data_.clear();
   applied_text_ops_ = stable_text_ops_;
@@ -676,7 +666,6 @@ Reply McSession::HandleParsed(const Request& request) {
       if (!request.payload.empty()) {
         WritePages(&data_pages_, request.addr, request.payload.data(),
                    request.payload.size(), /*count_faults=*/true);
-        ++data_version_;
       }
       RecordDataWrite(request.addr, request.payload);
       Reply reply;
@@ -787,17 +776,6 @@ void MemoryController::Restart() {
 
 void MemoryController::RestartSession(uint32_t client_id) {
   session(client_id).Restart();
-}
-
-const std::vector<uint8_t>& MemoryController::data() const {
-  const McSession& s0 = Session0();
-  if (legacy_data_version_ != s0.data_version()) {
-    legacy_data_.assign(server_.shared_data().begin(),
-                        server_.shared_data().end());
-    s0.OverlayData(&legacy_data_);
-    legacy_data_version_ = s0.data_version();
-  }
-  return legacy_data_;
 }
 
 void MemoryController::RegisterMetrics(obs::MetricsRegistry* registry,

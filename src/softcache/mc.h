@@ -20,8 +20,7 @@
 //                to private on the first kTextWrite / kDataWriteback).
 //   MemoryController — the endpoint facade: demultiplexes frames onto
 //                sessions by the client id packed in the type word (or by
-//                switch port via HandlePort), and keeps the single-client
-//                accessor surface (which simply reads session 0) stable.
+//                switch port via HandlePort).
 #pragma once
 
 #include <algorithm>
@@ -433,13 +432,6 @@ class McSession {
   // pages where faulted, the shared store elsewhere). Caller checks bounds.
   void ReadData(uint32_t addr, uint32_t len, uint8_t* out) const;
 
-  // Copies this session's private working pages over `flat` (a buffer laid
-  // out like the server's shared data store). Legacy whole-store view.
-  void OverlayData(std::vector<uint8_t>* flat) const;
-  // Increments whenever the working data overlay changes (write / restart);
-  // lets cached flat views invalidate in O(1).
-  uint64_t data_version() const { return data_version_; }
-
   // Demand reference count ("temperature") of a chunk start, as learned
   // from this session's past kChunkRequests.
   uint32_t Temperature(uint32_t addr) const {
@@ -524,7 +516,6 @@ class McSession {
   // stable pages (pristine + flushed writes) a crash reverts to.
   PageMap data_pages_;
   PageMap stable_pages_;
-  uint64_t data_version_ = 0;
 
   std::vector<PendingWrite> pending_text_;
   std::vector<PendingWrite> pending_data_;
@@ -541,10 +532,11 @@ class McSession {
 };
 
 // The MC endpoint: one shared server core plus a session per client id.
-// Single-client code (and every pre-multi-client test) keeps working
-// unchanged: the legacy accessors read session 0, which the constructor
-// pre-creates, and client id 0 frames serialize byte-identically to the
-// seed protocol.
+// Session 0 exists from construction (so a whole-server Restart before the
+// first frame still advances its epoch); every other session is created on
+// first use. Client id 0 frames serialize byte-identically to the seed
+// protocol. Per-client state is read through session(id), the server-wide
+// aggregates through server().
 class MemoryController {
  public:
   MemoryController(const image::Image& image, Style style,
@@ -552,7 +544,7 @@ class MemoryController {
                    const McServerConfig& server_config = {})
       : server_(image, style, max_block_instrs, max_trace_blocks,
                 server_config) {
-    session(0);  // legacy accessors are defined in terms of session 0
+    session(0);
   }
 
   // Handles one request frame; returns the reply frame. Routes by the client
@@ -601,42 +593,6 @@ class MemoryController {
   void RegisterMetrics(obs::MetricsRegistry* registry,
                        const std::string& prefix = "mc.") const;
 
-  // --- Legacy single-client surface (session 0 / server aggregates) ---
-  uint32_t epoch() const { return Session0().epoch(); }
-  uint64_t restarts() const { return server_.stats().restarts; }
-  uint64_t stale_epoch_rejects() const {
-    return server_.stats().stale_epoch_rejects;
-  }
-  uint64_t applied_text_ops() const { return Session0().applied_text_ops(); }
-  uint64_t stable_text_ops() const { return Session0().stable_text_ops(); }
-  uint64_t applied_data_ops() const { return Session0().applied_data_ops(); }
-  uint64_t stable_data_ops() const { return Session0().stable_data_ops(); }
-
-  // Session 0's view of program text (the shared pristine image until its
-  // first kTextWrite).
-  const image::Image& image() const { return Session0().text_view(); }
-
-  uint32_t DataBase() const { return server_.DataBase(); }
-  uint32_t DataLimit() const { return server_.DataLimit(); }
-  // Session 0's flat view of the data store (shared store with its private
-  // pages overlaid); rebuilt lazily when the overlay changes.
-  const std::vector<uint8_t>& data() const;
-
-  uint64_t requests_served() const { return server_.stats().requests_served; }
-  uint64_t replays_suppressed() const {
-    return server_.stats().replays_suppressed;
-  }
-  uint64_t batches_served() const { return server_.stats().batches_served; }
-  uint64_t chunks_prefetched() const {
-    return server_.stats().chunks_prefetched;
-  }
-  uint32_t Temperature(uint32_t addr) const {
-    return Session0().Temperature(addr);
-  }
-  std::vector<std::pair<uint64_t, uint64_t>> TemperatureRows() const {
-    return Session0().TemperatureRows();
-  }
-
   // Test-only tap observing every (request bytes, reply bytes) pair exactly
   // as they cross the wire; used to prove kOff traffic is byte-identical to
   // the seed protocol.
@@ -650,7 +606,6 @@ class MemoryController {
                                     const std::vector<uint8_t>& request_bytes);
   std::vector<uint8_t> HandleInner(int64_t port,
                                    const std::vector<uint8_t>& request_bytes);
-  const McSession& Session0() const { return *FindSession(0); }
 
   McServer server_;
   // Guards the session MAP only (lookup/insert); held never across a
@@ -661,9 +616,6 @@ class MemoryController {
   // for single-threaded tests stay correct under concurrent handlers.
   std::mutex tap_mu_;
   FrameTap tap_;
-  // Cached flat data view for the legacy data() accessor.
-  mutable std::vector<uint8_t> legacy_data_;
-  mutable uint64_t legacy_data_version_ = ~0ull;
 };
 
 }  // namespace sc::softcache

@@ -77,15 +77,20 @@ std::vector<uint8_t> McServerLoop::Submit(uint32_t port,
   // no queued ticket, so the pumper always has a live thread to drain the
   // queue — deferral cannot deadlock. The single-threaded schedulers never
   // defer: their depth is at most 1.
-  if (max_queue_ != 0 && queue_.size() >= max_queue_) {
+  if (max_queue_ != 0 && depth_ >= max_queue_) {
     ++stats_.requests_deferred;
-    cv_.wait(lock, [&] { return queue_.size() < max_queue_; });
+    cv_.wait(lock, [&] { return depth_ < max_queue_; });
   }
-  queue_.push_back(&ticket);
+  if (tail_ == nullptr) {
+    head_ = &ticket;
+  } else {
+    tail_->next = &ticket;
+  }
+  tail_ = &ticket;
+  ++depth_;
   ++stats_.requests_enqueued;
-  stats_.queue_depth_sum += queue_.size();
-  stats_.max_queue_depth =
-      std::max<uint64_t>(stats_.max_queue_depth, queue_.size());
+  stats_.queue_depth_sum += depth_;
+  stats_.max_queue_depth = std::max<uint64_t>(stats_.max_queue_depth, depth_);
 
   // Pump the queue ourselves, or wait for the thread already pumping it to
   // complete our ticket.
@@ -100,11 +105,13 @@ std::vector<uint8_t> McServerLoop::Submit(uint32_t port,
       // iteration (the queue is re-checked under mu_ every pass), so one
       // drain services every frame queued behind ours too.
       pumping_ = true;
-      while (!queue_.empty() && exclusive_waiters_ == 0) {
-        Ticket* t = queue_.front();
-        queue_.pop_front();
+      while (head_ != nullptr && exclusive_waiters_ == 0) {
+        Ticket* t = head_;
+        head_ = t->next;
+        if (head_ == nullptr) tail_ = nullptr;
+        --depth_;
         // Dropping below the bound re-admits one deferred submitter.
-        if (max_queue_ != 0 && queue_.size() + 1 == max_queue_) {
+        if (max_queue_ != 0 && depth_ + 1 == max_queue_) {
           cv_.notify_all();
         }
         queue_wait_ns_.Add(static_cast<double>(
@@ -165,7 +172,7 @@ void McServerLoop::RegisterMetrics(obs::MetricsRegistry* registry,
                             &stats_.requests_deferred);
   registry->RegisterGauge(prefix + "queue_depth", [this] {
     std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<double>(queue_.size());
+    return static_cast<double>(depth_);
   });
   registry->RegisterGauge(prefix + "avg_queue_depth", [this] {
     std::lock_guard<std::mutex> lock(mu_);

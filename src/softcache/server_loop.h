@@ -41,7 +41,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -132,6 +131,9 @@ class McServerLoop {
     // queue-wait histogram.
     uint64_t enqueue_ts = 0;
     std::chrono::steady_clock::time_point enqueue_host;
+    // Intrusive FIFO link: tickets live on their submitters' stacks, so
+    // queueing one allocates nothing.
+    Ticket* next = nullptr;
   };
 
   // Emits the ticket span + causal flow step on `lane` (null = untraced)
@@ -147,7 +149,10 @@ class McServerLoop {
   // Ticket completion, pump handoff, deferred admission, exclusive parking.
   std::condition_variable cv_;
 
-  std::deque<Ticket*> queue_;
+  // Ticket FIFO, threaded through Ticket::next (head_ is the oldest).
+  Ticket* head_ = nullptr;
+  Ticket* tail_ = nullptr;
+  size_t depth_ = 0;
   bool pumping_ = false;            // a submitter is draining the queue
   uint32_t exclusive_waiters_ = 0;  // RunExclusive calls waiting to park all
   bool exclusive_active_ = false;   // an exclusive section is running

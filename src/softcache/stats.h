@@ -2,7 +2,7 @@
 //
 // These structs are the single source of truth the hot paths increment;
 // the observability layer (obs::MetricsRegistry, wired up in
-// SoftCacheSystem::RegisterMetrics) exports them as named metrics rather
+// MultiClientSystem::RegisterMetrics) exports them as named metrics rather
 // than keeping parallel copies.
 #pragma once
 

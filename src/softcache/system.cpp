@@ -13,83 +13,23 @@
 
 namespace sc::softcache {
 
-SoftCacheSystem::SoftCacheSystem(const image::Image& image,
-                                 const SoftCacheConfig& config,
-                                 const McServerConfig& server_config)
-    : channel_(config.channel) {
-  // SOFTCACHE_LOG=3 with no explicit tracer: install the echo-only tracer
-  // so the miss-path event stream still appears as log lines.
-  obs::EnsureEchoTracerForLogging();
-  machine_.LoadImage(image);
-  mc_ = std::make_unique<MemoryController>(image, config.style,
-                                           config.max_block_instrs,
-                                           config.max_trace_blocks,
-                                           server_config);
-  cc_ = std::make_unique<CacheController>(machine_, *mc_, channel_, config);
-  if (config.fault.crash_at_cycle != 0) {
-    // Cycle-triggered crash schedules need to see guest time.
-    cc_->transport().set_cycle_source(machine_.cycles_counter());
-  }
-  if (config.integrity.enabled) {
-    integrity_quantum_ = config.integrity.quantum_instructions == 0
-                             ? 1024
-                             : config.integrity.quantum_instructions;
-  }
-  if (obs::Tracer* t = obs::tracer()) {
-    if (t->enabled()) t->SetClockSource(machine_.cycles_counter());
-  }
+namespace {
+
+// Instructions a client at `executed` runs in its next sliced step: up to
+// the next absolute quantum boundary, never past the budget.
+uint64_t NextQuantum(uint64_t executed, uint64_t max_instructions_each) {
+  return std::min(kQuantumInstructions - executed % kQuantumInstructions,
+                  max_instructions_each - executed);
 }
 
-vm::RunResult SoftCacheSystem::Run(uint64_t max_instructions) {
-  if (!attached_) {
-    cc_->Attach();
-    attached_ = true;
-  }
-  if (integrity_quantum_ == 0) return machine_.Run(max_instructions);
-  // Integrity slicing: the machine runs one integrity quantum at a time,
-  // with one tick evaluated between quanta (never after the final, partial
-  // one). A client scrub pass also scrubs the server memo — in solo and
-  // round-robin runs the memo's scrub points are deterministic; the
-  // threaded scheduler leans on verify-on-hit instead.
-  vm::RunResult result;
-  for (;;) {
-    const uint64_t executed = machine_.instructions();
-    const uint64_t budget =
-        max_instructions > executed ? max_instructions - executed : 0;
-    const uint64_t quantum = std::min(integrity_quantum_, budget);
-    result = machine_.Run(quantum);
-    if (result.reason != vm::StopReason::kInstrLimit ||
-        machine_.instructions() >= max_instructions) {
-      return result;
-    }
-    if (cc_->IntegrityTick()) mc_->server().ScrubMemo();
-  }
+// True when a step that stopped on its instruction budget ended on a
+// quantum boundary: the point where one integrity tick is due.
+bool AtQuantumBoundary(const vm::RunResult& result) {
+  return result.reason == vm::StopReason::kInstrLimit &&
+         result.instructions % kQuantumInstructions == 0;
 }
 
-void SoftCacheSystem::RegisterMetrics(obs::MetricsRegistry* registry) const {
-  // Each subsystem registers its own block next to the stats it owns; this
-  // is just composition. The names are unchanged from when this function
-  // enumerated every counter by hand (obs_test pins them).
-  cc_->RegisterMetrics(registry, "");
-  channel_.stats().RegisterMetrics(registry, "net.channel.");
-  mc_->RegisterMetrics(registry, "mc.");
-  registry->RegisterCounter("vm.instructions", machine_.instructions_counter());
-  registry->RegisterCounter("vm.cycles", machine_.cycles_counter());
-  // Threaded-engine counters (all zero under the interpreter).
-  const vm::SbStats& sb = machine_.sb_stats();
-  registry->RegisterCounter("vm.sb.fills", &sb.fills);
-  registry->RegisterCounter("vm.sb.fill_ops", &sb.fill_ops);
-  registry->RegisterCounter("vm.sb.chains", &sb.chains);
-  registry->RegisterCounter("vm.sb.invalidations", &sb.invalidations);
-  registry->RegisterCounter("vm.sb.flushes", &sb.flushes);
-}
-
-double SoftCacheSystem::MissRate() const {
-  const uint64_t instrs = machine_.instructions();
-  if (instrs == 0) return 0.0;
-  return static_cast<double>(stats().blocks_translated) /
-         static_cast<double>(instrs);
-}
+}  // namespace
 
 MultiClientSystem::MultiClientSystem(const image::Image& image,
                                      const MultiClientConfig& config)
@@ -258,20 +198,29 @@ std::vector<vm::RunResult> MultiClientSystem::RunAll(
   }
   if (config_.host_threads > 1 && clients_.size() > 1) {
     RunAllThreaded(max_instructions_each);
-    std::vector<vm::RunResult> results;
-    results.reserve(clients_.size());
-    for (Client& client : clients_) results.push_back(client.result);
-    return results;
+  } else {
+    RunAllRoundRobin(max_instructions_each);
   }
+  std::vector<vm::RunResult> results;
+  results.reserve(clients_.size());
+  for (Client& client : clients_) results.push_back(client.result);
+  return results;
+}
+
+void MultiClientSystem::RunAllRoundRobin(uint64_t max_instructions_each) {
   // Deterministic round-robin on guest time: always step the laggard (the
   // live machine with the smallest cycle count; ties break to the lowest
   // index). Clients share no guest-visible state, so any interleaving gives
   // each one a solo-identical execution — this rule just makes the schedule
   // (and hence traces/metrics) reproducible.
+  const bool inspect = inspect_every_ != 0 && inspection_hook_ != nullptr;
+  const bool sliced = inspect || config_.base.integrity.enabled;
   for (;;) {
     size_t next = clients_.size();
+    size_t live = 0;
     for (size_t i = 0; i < clients_.size(); ++i) {
-      if (clients_[i].done) continue;
+      if (!Runnable(clients_[i], max_instructions_each)) continue;
+      ++live;
       if (next == clients_.size() ||
           clients_[i].machine->cycles() < clients_[next].machine->cycles()) {
         next = i;
@@ -280,29 +229,27 @@ std::vector<vm::RunResult> MultiClientSystem::RunAll(
     if (next == clients_.size()) break;
     Client& client = clients_[next];
     const uint64_t executed = client.machine->instructions();
-    const uint64_t budget =
-        max_instructions_each > executed ? max_instructions_each - executed : 0;
-    const uint64_t quantum = std::min(config_.quantum_instructions, budget);
+    const uint64_t quantum = live == 1 && !sliced
+                                 ? max_instructions_each - executed
+                                 : NextQuantum(executed, max_instructions_each);
     {
       obs::TracerScope scope(next < client_lanes_.size() ? client_lanes_[next]
                                                          : obs::tracer());
       client.result = client.machine->Run(quantum);
     }
-    if (client.result.reason != vm::StopReason::kInstrLimit ||
-        client.machine->instructions() >= max_instructions_each) {
+    if (client.result.reason != vm::StopReason::kInstrLimit) {
       client.done = true;
-    } else if (client.cc->integrity_enabled()) {
-      // One integrity tick per quantum stepped — the same per-client tick
-      // stream a solo run of this client produces. Memo scrub points follow
-      // the clients' scrub ticks, as in the solo scheduler.
+    } else if (client.cc->integrity_enabled() &&
+               AtQuantumBoundary(client.result)) {
+      // One integrity tick per quantum boundary — the same per-client tick
+      // stream whatever the schedule or budget slicing. A client scrub pass
+      // also scrubs the server memo: under this single-threaded scheduler
+      // the memo's scrub points are deterministic (the threaded scheduler
+      // leans on verify-on-hit instead).
       if (client.cc->IntegrityTick()) mc_->server().ScrubMemo();
     }
-    if (inspect_every_ != 0 && inspection_hook_) MaybeInspectRoundRobin();
+    if (inspect) MaybeInspectRoundRobin();
   }
-  std::vector<vm::RunResult> results;
-  results.reserve(clients_.size());
-  for (Client& client : clients_) results.push_back(client.result);
-  return results;
 }
 
 void MultiClientSystem::MaybeInspectRoundRobin() {
@@ -356,6 +303,7 @@ void MultiClientSystem::RunAllThreaded(uint64_t max_instructions_each) {
   std::vector<uint64_t> published(clients_.size());
   for (size_t i = 0; i < clients_.size(); ++i) {
     published[i] = clients_[i].machine->cycles();
+    if (!Runnable(clients_[i], max_instructions_each)) state[i] = kFinished;
   }
 
   // Fleet-min guest cycles over unfinished clients (pending clients count
@@ -402,24 +350,21 @@ void MultiClientSystem::RunAllThreaded(uint64_t max_instructions_each) {
       const size_t i = next_client.fetch_add(1);
       if (i >= clients_.size()) break;
       Client& client = clients_[i];
+      if (!Runnable(client, max_instructions_each)) continue;
       obs::Tracer* lane = i < client_lanes_.size() ? client_lanes_[i] : nullptr;
       if (lane != nullptr) lane->RebindThread();
       obs::TracerScope scope(lane != nullptr ? lane : obs::tracer());
       if (!inspect && !integrity) {
-        client.result = client.machine->Run(max_instructions_each);
+        client.result = client.machine->Run(max_instructions_each -
+                                            client.machine->instructions());
       } else {
         {
           std::lock_guard<std::mutex> lock(safepoint_mu);
           state[i] = kRunning;
         }
         for (;;) {
-          const uint64_t executed = client.machine->instructions();
-          const uint64_t budget = max_instructions_each > executed
-                                      ? max_instructions_each - executed
-                                      : 0;
-          const uint64_t quantum =
-              std::min(config_.quantum_instructions, budget);
-          client.result = client.machine->Run(quantum);
+          client.result = client.machine->Run(NextQuantum(
+              client.machine->instructions(), max_instructions_each));
           const bool finished =
               client.result.reason != vm::StopReason::kInstrLimit ||
               client.machine->instructions() >= max_instructions_each;
@@ -428,12 +373,14 @@ void MultiClientSystem::RunAllThreaded(uint64_t max_instructions_each) {
             published[i] = client.machine->cycles();
             if (finished) state[i] = kFinished;
           }
+          if (integrity && AtQuantumBoundary(client.result)) {
+            client.cc->IntegrityTick();
+          }
           if (finished) break;
-          if (integrity) client.cc->IntegrityTick();
           if (inspect) safepoint();
         }
       }
-      client.done = true;
+      client.done = client.result.reason != vm::StopReason::kInstrLimit;
     }
     if (inspect) {
       // Exiting shrinks the quorum the inspector waits for.
@@ -464,7 +411,8 @@ bool MultiClientSystem::SyncSessions() {
 
 void MultiClientSystem::RegisterMetrics(obs::MetricsRegistry* registry) const {
   for (size_t i = 0; i < clients_.size(); ++i) {
-    const std::string prefix = "c" + std::to_string(i) + ".";
+    const std::string prefix =
+        clients_.size() > 1 ? "c" + std::to_string(i) + "." : "";
     const Client& client = clients_[i];
     client.cc->RegisterMetrics(registry, prefix);
     client.channel->stats().RegisterMetrics(registry, prefix + "net.channel.");

@@ -1,10 +1,11 @@
-// SoftCacheSystem: convenience wiring of the full client/server stack.
+// MultiClientSystem: the full client/server stack, wired end to end.
 //
-// Owns the client Machine, the server MemoryController, the simulated
-// Channel between them and the CacheController, and runs a program end to
-// end under the software cache. This is the top-level public API most
-// examples and benchmarks use; the pieces remain individually constructible
-// for finer-grained experiments.
+// One MemoryController serves N cache controllers through a net::Switch and
+// the McServerLoop event loop; each client owns its Machine, Channel and
+// CacheController. A single client is a fleet of one, so every caller —
+// tests, paper-figure benches, examples, srun — runs this one orchestrator.
+// The pieces remain individually constructible for finer-grained
+// experiments.
 #pragma once
 
 #include <functional>
@@ -25,60 +26,17 @@
 
 namespace sc::softcache {
 
-class SoftCacheSystem {
- public:
-  // The image must outlive the system. `server_config` tunes the server core
-  // (memo shards/bound, and the server-side memo fault stream).
-  SoftCacheSystem(const image::Image& image, const SoftCacheConfig& config = {},
-                  const McServerConfig& server_config = {});
-
-  // Provides the program's input stream (SYS_READ / SYS_GETCHAR).
-  void SetInput(std::vector<uint8_t> input) { machine_.SetInput(std::move(input)); }
-  void SetInput(const std::string& input) {
-    machine_.SetInput(std::vector<uint8_t>(input.begin(), input.end()));
-  }
-
-  // Runs until halt/fault or the instruction budget is exhausted. With
-  // integrity enabled the run is sliced into integrity quanta: after every
-  // quantum the CC evaluates one integrity tick (fault injection +
-  // verify/scrub), and the server memo is scrubbed whenever the client
-  // scrubbed — the tick stream is a pure function of the instruction count,
-  // so it replays identically under the multi-client schedulers.
-  vm::RunResult Run(uint64_t max_instructions = UINT64_MAX);
-
-  vm::Machine& machine() { return machine_; }
-  CacheController& cc() { return *cc_; }
-  MemoryController& mc() { return *mc_; }
-  net::Channel& channel() { return channel_; }
-  const SoftCacheStats& stats() const { return cc_->stats(); }
-  std::string OutputString() const { return machine_.OutputString(); }
-
-  // Software miss rate as the paper defines it for Figure 7: basic blocks
-  // translated divided by instructions executed.
-  double MissRate() const;
-
-  // Binds every counter/histogram/timeline/series/table the stack keeps
-  // into `registry` under dotted names ("cc.evictions", "net.link.retries",
-  // ...). Views only: the registry must not outlive this system.
-  void RegisterMetrics(obs::MetricsRegistry* registry) const;
-
- private:
-  vm::Machine machine_;
-  net::Channel channel_;
-  std::unique_ptr<MemoryController> mc_;
-  std::unique_ptr<CacheController> cc_;
-  bool attached_ = false;
-  // Instructions per integrity tick; 0 = integrity off (unsliced Run).
-  uint64_t integrity_quantum_ = 0;
-};
-
 // Runs `image` natively (no software cache) with the given input; the
 // baseline every benchmark normalizes against.
 vm::RunResult RunNative(const image::Image& image, const std::string& input,
                         std::string* output = nullptr,
                         uint64_t max_instructions = UINT64_MAX);
 
-// --- Multi-client: one memory controller serving N cache controllers ---
+// Scheduler quantum, in guest instructions: one round-robin step, and the
+// integrity tick cadence under every scheduler. Quantum boundaries sit at
+// absolute multiples of this count, so a run resumed from any budget ticks
+// exactly where an uninterrupted run does.
+inline constexpr uint64_t kQuantumInstructions = 1024;
 
 struct MultiClientConfig {
   // Number of clients (each gets its own Machine/Channel/CC and the MC
@@ -94,8 +52,6 @@ struct MultiClientConfig {
   // seeded loss/crash schedule (crashes restart only that client's
   // session).
   std::vector<net::FaultConfig> client_faults;
-  // Scheduler quantum, in guest instructions per scheduling step.
-  uint64_t quantum_instructions = 1024;
   // Server-core tuning: memo shards, memo bound, published-digest window.
   McServerConfig server;
   // Host threads running client VMs: 0/1 = the deterministic guest-cycle
@@ -141,17 +97,19 @@ inline bool ValidateServerParallelism(int64_t shards, std::string* error) {
   return true;
 }
 
-// N independent guest machines sharing ONE MemoryController through a
-// net::Switch, interleaved by a deterministic guest-cycle round-robin
-// scheduler: each step runs the machine whose clock is furthest behind
-// (ties break to the lowest index) for one quantum. Because every client
-// owns disjoint server-side session state and its own channel/transport,
-// each client's guest execution is bit-identical to its solo run — the
-// sharing shows up only in server-side work (memoized translations).
+// N independent guest machines (N >= 1) sharing ONE MemoryController
+// through a net::Switch, interleaved by a deterministic guest-cycle
+// round-robin scheduler: each step runs the machine whose clock is furthest
+// behind (ties break to the lowest index) for one quantum. Because every
+// client owns disjoint server-side session state and its own
+// channel/transport, each client's guest execution is bit-identical to its
+// solo run — the sharing shows up only in server-side work (memoized
+// translations). A solo run is `MultiClientSystem system(img, {.base = cfg})`.
 class MultiClientSystem {
  public:
   // The image must outlive the system.
-  MultiClientSystem(const image::Image& image, const MultiClientConfig& config);
+  explicit MultiClientSystem(const image::Image& image,
+                             const MultiClientConfig& config = {});
 
   void SetInput(size_t client, std::vector<uint8_t> input) {
     clients_[client].machine->SetInput(std::move(input));
@@ -160,8 +118,13 @@ class MultiClientSystem {
     SetInput(client, std::vector<uint8_t>(input.begin(), input.end()));
   }
 
-  // Runs every client to halt/fault (or its per-client instruction budget)
-  // under the round-robin scheduler. Returns one result per client.
+  // Runs every client to halt/fault or until it has retired
+  // `max_instructions_each` instructions in total (an absolute budget, not
+  // "this many more"). A client stopped only by the budget resumes on the
+  // next call with a larger one. Returns one result per client. When
+  // exactly one client is still running and neither integrity ticks nor an
+  // inspection hook need a quantum boundary, that client runs to its budget
+  // in one Machine::Run call — there is nobody to interleave it with.
   std::vector<vm::RunResult> RunAll(uint64_t max_instructions_each = UINT64_MAX);
 
   // End-of-run barrier: per-client Session::Synchronize for every client
@@ -180,10 +143,12 @@ class MultiClientSystem {
     return clients_[client].machine->OutputString();
   }
 
-  // Per-client metrics under "c<i>." prefixes (c0.cc.evictions,
-  // c1.net.channel.bytes_to_server, c0.vm.instructions, ...) plus the
-  // shared server under "mc." (aggregates, memo stats, per-session s<id>.*
-  // counters and heat tables) and the switch frame counter.
+  // Per-client metrics (cc.evictions, net.channel.bytes_to_server,
+  // vm.instructions, ...) plus the shared server under "mc." (aggregates,
+  // memo stats, per-session s<id>.* counters and heat tables, the event
+  // loop under mc.loop.) and the switch frame counter. Per-client names
+  // carry a "c<i>." prefix (c0.cc.evictions) only when the system has more
+  // than one client.
   void RegisterMetrics(obs::MetricsRegistry* registry) const;
 
   // --- Fleet observability wiring ---
@@ -226,12 +191,20 @@ class MultiClientSystem {
     std::unique_ptr<net::Channel> channel;
     std::unique_ptr<CacheController> cc;
     bool attached = false;
-    bool done = false;
+    bool done = false;  // halted or faulted (a budget stop is not done)
     vm::RunResult result;
   };
 
-  // Runs every client to completion on a pool of config.host_threads host
-  // threads (the RunAll threaded branch).
+  // A client RunAll still has to step: neither halted/faulted nor at its
+  // absolute instruction budget.
+  static bool Runnable(const Client& client, uint64_t max_instructions_each) {
+    return !client.done &&
+           client.machine->instructions() < max_instructions_each;
+  }
+  // The two RunAll schedulers: the deterministic guest-cycle round-robin
+  // on the calling thread, and each client run to its budget on a pool of
+  // config.host_threads host threads.
+  void RunAllRoundRobin(uint64_t max_instructions_each);
   void RunAllThreaded(uint64_t max_instructions_each);
   // Broadcast-medium snoop: parses one reply frame and feeds every client's
   // content store (shared_reply mode only).

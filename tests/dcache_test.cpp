@@ -45,8 +45,11 @@ DcacheRun RunWithDcache(const image::Image& img, const DCacheConfig& config,
   cache.FlushAll();
   run.output = machine.OutputString();
   run.stats = cache.stats();
-  run.server_data = mc.data();
-  run.server_data_base = mc.DataBase();
+  run.server_data_base = mc.server().DataBase();
+  run.server_data.resize(mc.server().DataLimit() - run.server_data_base);
+  mc.session(0).ReadData(run.server_data_base,
+                         static_cast<uint32_t>(run.server_data.size()),
+                         run.server_data.data());
   return run;
 }
 

@@ -61,14 +61,14 @@ EngineRun RunNative(const image::Image& img, const std::vector<uint8_t>& input,
 EngineRun RunSoftcache(const image::Image& img,
                        const std::vector<uint8_t>& input, Engine engine,
                        const softcache::SoftCacheConfig& config) {
-  softcache::SoftCacheSystem system(img, config);
-  system.machine().set_engine(engine);
-  system.SetInput(input);
+  softcache::MultiClientSystem system(img, {.base = config});
+  system.machine(0).set_engine(engine);
+  system.SetInput(0, input);
   EngineRun run;
-  run.result = system.Run(16'000'000'000ull);
-  run.output = system.OutputString();
+  run.result = system.RunAll(16'000'000'000ull)[0];
+  run.output = system.OutputString(0);
   if (run.result.reason == vm::StopReason::kHalted) {
-    system.cc().CheckInvariants();
+    system.cc(0).CheckInvariants();
   }
   return run;
 }

@@ -32,7 +32,6 @@ using softcache::MemFaultInjector;
 using softcache::MultiClientConfig;
 using softcache::MultiClientSystem;
 using softcache::SoftCacheConfig;
-using softcache::SoftCacheSystem;
 using vm::Engine;
 
 // A program with enough distinct blocks, calls and churn to keep the tcache
@@ -87,14 +86,14 @@ struct StormRun {
 StormRun RunSolo(const image::Image& img, const SoftCacheConfig& config,
                  Engine engine,
                  const softcache::McServerConfig& server = {}) {
-  SoftCacheSystem system(img, config, server);
-  system.machine().set_engine(engine);
+  MultiClientSystem system(img, {.base = config, .server = server});
+  system.machine(0).set_engine(engine);
   StormRun run;
-  run.result = system.Run();
-  run.output = system.OutputString();
-  run.integrity = system.stats().integrity;
+  run.result = system.RunAll()[0];
+  run.output = system.OutputString(0);
+  run.integrity = system.cc(0).stats().integrity;
   if (run.result.reason == vm::StopReason::kHalted) {
-    system.cc().CheckInvariants();
+    system.cc(0).CheckInvariants();
   }
   return run;
 }
@@ -202,6 +201,53 @@ TEST(Integrity, SoloStormIsSeedDeterministic) {
   EXPECT_EQ(a.integrity.flips_injected, b.integrity.flips_injected);
   EXPECT_EQ(a.integrity.quarantines, b.integrity.quarantines);
   EXPECT_GT(a.integrity.heals, 0u);
+}
+
+// RunAll's budget is absolute and resumable: a run driven in budget slices
+// must tick, inject and heal exactly like one uninterrupted run, both at the
+// slice boundary and at exit.
+TEST(Integrity, ResumedRunMatchesUninterruptedRun) {
+  const image::Image img = StormImage();
+  SoftCacheConfig config = StormConfig();
+  config.integrity.memfault = Storm(/*seed=*/9, /*rate=*/0.05);
+  constexpr uint64_t kSlice = 100'001;  // off every quantum boundary
+  const auto expect_same = [](MultiClientSystem& a, MultiClientSystem& b,
+                              const vm::RunResult& ra, const vm::RunResult& rb,
+                              const std::string& what) {
+    ExpectRunsIdentical({ra, a.OutputString(0), {}},
+                        {rb, b.OutputString(0), {}}, what);
+    const softcache::IntegrityStats& ia = a.cc(0).stats().integrity;
+    const softcache::IntegrityStats& ib = b.cc(0).stats().integrity;
+    EXPECT_EQ(ia.ticks, ib.ticks) << what;
+    EXPECT_EQ(ia.flips_injected, ib.flips_injected) << what;
+    EXPECT_EQ(ia.scrubs, ib.scrubs) << what;
+    EXPECT_EQ(ia.corruptions_detected, ib.corruptions_detected) << what;
+    EXPECT_EQ(ia.heals, ib.heals) << what;
+    EXPECT_EQ(a.cc(0).stats().blocks_translated,
+              b.cc(0).stats().blocks_translated)
+        << what;
+    EXPECT_EQ(a.channel(0).stats().total_bytes(),
+              b.channel(0).stats().total_bytes())
+        << what;
+  };
+
+  MultiClientSystem sliced(img, {.base = config});
+  MultiClientSystem whole(img, {.base = config});
+  const vm::RunResult first = sliced.RunAll(kSlice)[0];
+  ASSERT_EQ(first.reason, vm::StopReason::kInstrLimit) << first.fault_message;
+  ASSERT_EQ(first.instructions, kSlice);
+  const vm::RunResult sliced_mid = sliced.RunAll(2 * kSlice)[0];
+  const vm::RunResult whole_mid = whole.RunAll(2 * kSlice)[0];
+  ASSERT_EQ(sliced_mid.reason, vm::StopReason::kInstrLimit);
+  EXPECT_EQ(sliced_mid.instructions, 2 * kSlice);
+  expect_same(sliced, whole, sliced_mid, whole_mid, "at 2 slices");
+  EXPECT_GT(sliced.cc(0).stats().integrity.flips_injected, 0u);
+
+  const vm::RunResult sliced_end = sliced.RunAll()[0];
+  const vm::RunResult whole_end = whole.RunAll()[0];
+  ASSERT_EQ(whole_end.reason, vm::StopReason::kHalted)
+      << whole_end.fault_message;
+  expect_same(sliced, whole, sliced_end, whole_end, "at exit");
 }
 
 TEST(Integrity, StormBitIdenticalAcrossEngines) {
@@ -359,8 +405,8 @@ TEST(Integrity, MemoDomainHealsFromPristineImage) {
   // reply leaves the server.
   ExpectRunsIdentical(storm, clean, "memo storm vs clean");
 
-  SoftCacheSystem probe(img, config, server);
-  probe.Run();
+  MultiClientSystem probe(img, {.base = config, .server = server});
+  probe.RunAll();
   const auto& stats = probe.mc().server().stats();
   EXPECT_GT(stats.memo_flips_injected, 0u);
   EXPECT_GT(stats.memo_corruptions_detected, 0u);
@@ -419,29 +465,29 @@ TEST(Integrity, PoisonLadderDemotesRepeatOffenders) {
 TEST(Integrity, VerifyOnUseCatchesHandPlantedFlip) {
   const image::Image img = StormImage();
   SoftCacheConfig config = StormConfig();  // integrity on, no injector
-  SoftCacheSystem system(img, config);
+  MultiClientSystem system(img, {.base = config});
 
   // Warm the cache, then corrupt one resident tcache byte behind the
   // cache controller's back.
-  auto first = system.Run(5'000);
+  auto first = system.RunAll(5'000)[0];
   ASSERT_EQ(first.reason, vm::StopReason::kInstrLimit);
-  const uint32_t victim = system.cc().AnyResidentTcacheByteForTest();
+  const uint32_t victim = system.cc(0).AnyResidentTcacheByteForTest();
   ASSERT_NE(victim, 0u);
-  system.machine().mem_data()[victim] ^= 0x40;
+  system.machine(0).mem_data()[victim] ^= 0x40;
 
   // The run still completes with the correct story: the flip is detected
   // (by the next scrub or the next resolve of that block) and healed.
-  const auto rest = system.Run();
+  const auto rest = system.RunAll()[0];
   EXPECT_EQ(rest.reason, vm::StopReason::kHalted) << rest.fault_message;
-  EXPECT_GE(system.stats().integrity.corruptions_detected, 1u);
+  EXPECT_GE(system.cc(0).stats().integrity.corruptions_detected, 1u);
   // Quarantined for sure; healed only if the program demands that chunk
   // again before halting (eviction churn may retire it first).
-  EXPECT_GE(system.stats().integrity.quarantines, 1u);
-  EXPECT_EQ(system.stats().integrity.flips_injected, 0u);
+  EXPECT_GE(system.cc(0).stats().integrity.quarantines, 1u);
+  EXPECT_EQ(system.cc(0).stats().integrity.flips_injected, 0u);
 
   const StormRun clean = RunSolo(img, config, Engine::kInterp);
   EXPECT_EQ(rest.exit_code, clean.result.exit_code);
-  EXPECT_EQ(system.OutputString(), clean.output);
+  EXPECT_EQ(system.OutputString(0), clean.output);
 }
 
 }  // namespace

@@ -228,7 +228,7 @@ TEST(SharedMemo, TextWriteInvalidatesWithoutCorruptingOtherClients) {
 TEST(CowData, WritebackIsPrivatePerSession) {
   const image::Image img = LoopImage();
   MemoryController mc(img, softcache::Style::kSparc, 64);
-  const uint32_t addr = mc.DataBase();
+  const uint32_t addr = mc.server().DataBase();
 
   Request write;
   write.type = MsgType::kDataWriteback;
@@ -268,7 +268,7 @@ TEST(CowData, WritebackIsPrivatePerSession) {
 TEST(SessionIsolation, RestartOneSessionLeavesOthersIntact) {
   const image::Image img = LoopImage();
   MemoryController mc(img, softcache::Style::kSparc, 64);
-  const uint32_t addr = mc.DataBase();
+  const uint32_t addr = mc.server().DataBase();
 
   auto write_marker = [&mc, addr](uint32_t client_id, uint8_t marker,
                                   uint32_t epoch) {
@@ -565,15 +565,15 @@ struct SoloBaseline {
 SoloBaseline RunSolo(const image::Image& img,
                      const softcache::SoftCacheConfig& config,
                      const std::string& input) {
-  softcache::SoftCacheSystem solo(img, config);
-  solo.SetInput(input);
+  softcache::MultiClientSystem solo(img, {.base = config});
+  solo.SetInput(0, input);
   SoloBaseline base;
-  base.result = solo.Run();
+  base.result = solo.RunAll()[0];
   if (config.fault.crash_enabled()) {
-    EXPECT_TRUE(solo.cc().SyncSession());
+    EXPECT_TRUE(solo.cc(0).SyncSession());
   }
-  base.output = solo.OutputString();
-  base.translated = solo.stats().blocks_translated;
+  base.output = solo.OutputString(0);
+  base.translated = solo.cc(0).stats().blocks_translated;
   return base;
 }
 

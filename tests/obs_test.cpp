@@ -380,18 +380,18 @@ RunOutcome RunWorkload(bool with_tracing) {
     tracer.Enable(1 << 12);  // small ring: wraps, which must not matter
     obs::SetTracer(&tracer);
   }
-  softcache::SoftCacheSystem system(img, config);
-  system.SetInput(workloads::MakeInput("dijkstra", 1));
+  softcache::MultiClientSystem system(img, {.base = config});
+  system.SetInput(0, workloads::MakeInput("dijkstra", 1));
   obs::MetricsRegistry registry;
   system.RegisterMetrics(&registry);
-  const vm::RunResult result = system.Run();
+  const vm::RunResult result = system.RunAll()[0];
   obs::SetTracer(nullptr);
   EXPECT_EQ(result.reason, vm::StopReason::kHalted);
   if (with_tracing) {
     EXPECT_GT(tracer.recorded_events(), 0u);
   }
   return RunOutcome{result.cycles, result.instructions,
-                    registry.TakeSnapshot(), system.OutputString()};
+                    registry.TakeSnapshot(), system.OutputString(0)};
 }
 
 TEST(Observability, TracingDoesNotPerturbTheRun) {
@@ -416,13 +416,13 @@ TEST(Observability, SystemTraceCoversMissPath) {
   obs::Tracer tracer;
   tracer.Enable(1 << 16);
   obs::SetTracer(&tracer);
-  softcache::SoftCacheSystem system(img, config);
+  softcache::MultiClientSystem system(img, {.base = config});
   // decode_fill is an interpreter event (the threaded engine replaces the
   // decode cache with superblock fills); pin the engine so this assertion
   // holds regardless of SOFTCACHE_ENGINE.
-  system.machine().set_engine(vm::Engine::kInterp);
-  system.SetInput(workloads::MakeInput("dijkstra", 1));
-  const vm::RunResult result = system.Run();
+  system.machine(0).set_engine(vm::Engine::kInterp);
+  system.SetInput(0, workloads::MakeInput("dijkstra", 1));
+  const vm::RunResult result = system.RunAll()[0];
   obs::SetTracer(nullptr);
   ASSERT_EQ(result.reason, vm::StopReason::kHalted);
 
@@ -463,24 +463,26 @@ TEST(Observability, SystemMetricsMatchStatsStructs) {
   const image::Image img = workloads::CompileWorkload(*spec);
   softcache::SoftCacheConfig config;
   config.tcache_bytes = 4096;
-  softcache::SoftCacheSystem system(img, config);
-  system.SetInput(workloads::MakeInput("dijkstra", 1));
+  softcache::MultiClientSystem system(img, {.base = config});
+  system.SetInput(0, workloads::MakeInput("dijkstra", 1));
   obs::MetricsRegistry registry;
   system.RegisterMetrics(&registry);
-  const vm::RunResult result = system.Run();
+  const vm::RunResult result = system.RunAll()[0];
   ASSERT_EQ(result.reason, vm::StopReason::kHalted);
   // The registry is a view: values are the stats structs' values, no copies.
   const auto snap = registry.TakeSnapshot();
   EXPECT_EQ(snap.counters.at("cc.blocks_translated"),
-            system.stats().blocks_translated);
-  EXPECT_EQ(snap.counters.at("cc.tcmiss_traps"), system.stats().tcmiss_traps);
-  EXPECT_EQ(snap.counters.at("net.link.requests"), system.stats().net.requests);
+            system.cc(0).stats().blocks_translated);
+  EXPECT_EQ(snap.counters.at("cc.tcmiss_traps"),
+            system.cc(0).stats().tcmiss_traps);
+  EXPECT_EQ(snap.counters.at("net.link.requests"),
+            system.cc(0).stats().net.requests);
   EXPECT_EQ(snap.counters.at("vm.cycles"), result.cycles);
   EXPECT_EQ(snap.counters.at("mc.requests_served"),
-            system.mc().requests_served());
+            system.mc().server().stats().requests_served);
   // Miss latency histogram is populated and percentiles are ordered.
-  const util::Histogram& lat = system.cc().miss_latency();
-  EXPECT_EQ(lat.total(), system.stats().tcmiss_traps);
+  const util::Histogram& lat = system.cc(0).miss_latency();
+  EXPECT_EQ(lat.total(), system.cc(0).stats().tcmiss_traps);
   EXPECT_LE(lat.Percentile(50), lat.Percentile(95));
   EXPECT_LE(lat.Percentile(95), lat.Percentile(99));
   const std::string json = registry.ToJson();

@@ -23,7 +23,7 @@ using softcache::MsgType;
 using softcache::PrefetchHints;
 using softcache::PrefetchPolicy;
 using softcache::SoftCacheConfig;
-using softcache::SoftCacheSystem;
+using softcache::MultiClientSystem;
 using softcache::Style;
 
 image::Image Compile(std::string_view source) {
@@ -41,12 +41,14 @@ SoftCacheConfig PrefetchConfig(Style style, PrefetchPolicy policy,
   return config;
 }
 
-// A cached run plus the image it executes (SoftCacheSystem keeps a
+// A cached run plus the image it executes (MultiClientSystem keeps a
 // reference to the image, so the two must live together).
 struct EquivalentRun {
   std::unique_ptr<image::Image> image;
-  std::unique_ptr<SoftCacheSystem> system;
-  const softcache::SoftCacheStats& stats() const { return system->stats(); }
+  std::unique_ptr<MultiClientSystem> system;
+  const softcache::SoftCacheStats& stats() const {
+    return system->cc(0).stats();
+  }
 };
 
 // Runs `source` natively and under `config`; requires identical exit codes
@@ -65,14 +67,15 @@ EquivalentRun ExpectEquivalent(std::string_view source,
   EXPECT_EQ(native.reason, vm::StopReason::kHalted)
       << "native run failed: " << native.fault_message;
 
-  run.system = std::make_unique<SoftCacheSystem>(*run.image, config);
-  run.system->SetInput(input);
-  const vm::RunResult cached = run.system->Run(max_instr);
+  run.system = std::make_unique<MultiClientSystem>(
+      *run.image, softcache::MultiClientConfig{.base = config});
+  run.system->SetInput(0, input);
+  const vm::RunResult cached = run.system->RunAll(max_instr)[0];
   EXPECT_EQ(cached.reason, vm::StopReason::kHalted)
       << "softcache fault: " << cached.fault_message;
   EXPECT_EQ(cached.exit_code, native.exit_code);
-  EXPECT_EQ(run.system->OutputString(), native_out);
-  run.system->cc().CheckInvariants();
+  EXPECT_EQ(run.system->OutputString(0), native_out);
+  run.system->cc(0).CheckInvariants();
   return run;
 }
 
@@ -239,7 +242,7 @@ TEST(PrefetchOffProperty, WireTrafficIsByteIdenticalToSeedProtocol) {
   const image::Image img = Compile(kCallLoopProgram);
   SoftCacheConfig config = PrefetchConfig(Style::kSparc, PrefetchPolicy::kOff);
 
-  SoftCacheSystem system(img, config);
+  MultiClientSystem system(img, {.base = config});
   uint64_t frames = 0;
   uint64_t chunk_requests = 0;
   system.mc().set_frame_tap([&](const std::vector<uint8_t>& request_bytes,
@@ -271,19 +274,19 @@ TEST(PrefetchOffProperty, WireTrafficIsByteIdenticalToSeedProtocol) {
               reply_bytes);
   });
 
-  const vm::RunResult result = system.Run(100'000'000);
+  const vm::RunResult result = system.RunAll(100'000'000)[0];
   EXPECT_EQ(result.reason, vm::StopReason::kHalted)
       << result.fault_message;
   EXPECT_GT(frames, 0u);
   EXPECT_GT(chunk_requests, 0u);
 
   // kOff does zero speculative work on either side of the link.
-  const softcache::PrefetchStats& ps = system.stats().prefetch;
+  const softcache::PrefetchStats& ps = system.cc(0).stats().prefetch;
   EXPECT_EQ(ps.batches, 0u);
   EXPECT_EQ(ps.chunks_prefetched, 0u);
   EXPECT_EQ(ps.staged, 0u);
   EXPECT_EQ(ps.hits, 0u);
-  EXPECT_EQ(system.mc().batches_served(), 0u);
+  EXPECT_EQ(system.mc().server().stats().batches_served, 0u);
 }
 
 // The epoch stamp rides the upper 12 bits of the type word and the client id
@@ -345,7 +348,7 @@ TEST(PrefetchEquivalence, SparcTemperature) {
   EXPECT_GT(run.stats().prefetch.batches, 0u);
   // The MC learned demand counts for the chunks the client asked for.
   softcache::MemoryController& mc = run.system->mc();
-  EXPECT_GT(mc.Temperature(mc.image().entry), 0u);
+  EXPECT_GT(mc.session(0).Temperature(mc.session(0).text_view().entry), 0u);
 }
 
 TEST(PrefetchEquivalence, ArmProcedureChunks) {
@@ -358,16 +361,17 @@ TEST(PrefetchEquivalence, PrefetchSavesRoundTrips) {
   const image::Image img = Compile(kCallLoopProgram);
 
   SoftCacheConfig off = PrefetchConfig(Style::kSparc, PrefetchPolicy::kOff);
-  SoftCacheSystem sys_off(img, off);
-  ASSERT_EQ(sys_off.Run(100'000'000).reason, vm::StopReason::kHalted);
+  MultiClientSystem sys_off(img, {.base = off});
+  ASSERT_EQ(sys_off.RunAll(100'000'000)[0].reason, vm::StopReason::kHalted);
 
   SoftCacheConfig on = PrefetchConfig(Style::kSparc, PrefetchPolicy::kNextN);
-  SoftCacheSystem sys_on(img, on);
-  ASSERT_EQ(sys_on.Run(100'000'000).reason, vm::StopReason::kHalted);
+  MultiClientSystem sys_on(img, {.base = on});
+  ASSERT_EQ(sys_on.RunAll(100'000'000)[0].reason, vm::StopReason::kHalted);
 
-  EXPECT_EQ(sys_on.OutputString(), sys_off.OutputString());
+  EXPECT_EQ(sys_on.OutputString(0), sys_off.OutputString(0));
   // Every staging hit is a round trip the kOff run had to pay for.
-  EXPECT_LT(sys_on.stats().net.requests, sys_off.stats().net.requests);
+  EXPECT_LT(sys_on.cc(0).stats().net.requests,
+            sys_off.cc(0).stats().net.requests);
 }
 
 // --- Batched replies under an unreliable transport ---
@@ -421,9 +425,9 @@ TEST(PrefetchStaging, EvictionPressureUnderSmallTcache) {
       PrefetchConfig(Style::kSparc, PrefetchPolicy::kNextN);
   uint64_t peak = 0;
   {
-    SoftCacheSystem system(img, probe);
-    ASSERT_EQ(system.Run(100'000'000).reason, vm::StopReason::kHalted);
-    peak = system.stats().tcache_bytes_used_peak;
+    MultiClientSystem system(img, {.base = probe});
+    ASSERT_EQ(system.RunAll(100'000'000)[0].reason, vm::StopReason::kHalted);
+    peak = system.cc(0).stats().tcache_bytes_used_peak;
     ASSERT_GT(peak, 0u);
   }
   SoftCacheConfig tiny = probe;
@@ -508,7 +512,7 @@ TEST(PrefetchPolicyDivergence, WarmDeepChunkDisplacesColdFallthrough) {
     ASSERT_TRUE(reply.ok());
     ASSERT_EQ(reply->type, MsgType::kChunkReply);
   }
-  EXPECT_GE(mc.Temperature(hot), 8u);
+  EXPECT_GE(mc.session(0).Temperature(hot), 8u);
 
   // Same binding budget, temperature ranking: the warmed chunk sorts first
   // and consumes the whole budget — a different set, containing the chunk

@@ -83,15 +83,15 @@ TEST_P(RandomProgramTest, SoftCacheMatchesNativeEverywhere) {
     if (cfg.style == softcache::Style::kSparc) {
       config.max_trace_blocks = cfg.trace_blocks;
     }
-    softcache::SoftCacheSystem system(*img, config);
-    const vm::RunResult result = system.Run(4'000'000'000ull);
+    softcache::MultiClientSystem system(*img, {.base = config});
+    const vm::RunResult result = system.RunAll(4'000'000'000ull)[0];
     ASSERT_EQ(result.reason, vm::StopReason::kHalted)
         << "style=" << (cfg.style == softcache::Style::kSparc ? "sparc" : "arm")
         << " tcache=" << cfg.tcache << " fault=" << result.fault_message
         << "\nseed=" << seed;
     EXPECT_EQ(result.exit_code, baseline.exit_code) << "seed=" << seed;
-    EXPECT_EQ(system.OutputString(), baseline.output) << "seed=" << seed;
-    system.cc().CheckInvariants();
+    EXPECT_EQ(system.OutputString(0), baseline.output) << "seed=" << seed;
+    system.cc(0).CheckInvariants();
   }
 }
 
@@ -134,18 +134,18 @@ TEST_P(RandomProgramTest, CombinedIcacheAndDcacheMatchesNative) {
   softcache::SoftCacheConfig config;
   config.style = softcache::Style::kSparc;
   config.tcache_bytes = 4096;
-  softcache::SoftCacheSystem system(*img, config);
+  softcache::MultiClientSystem system(*img, {.base = config});
   dcache::DCacheConfig dconfig;
-  dconfig.local_base = system.cc().local_limit();
-  dcache::DataCache cache(system.machine(), system.mc(), system.channel(),
+  dconfig.local_base = system.cc(0).local_limit();
+  dcache::DataCache cache(system.machine(0), system.mc(), system.channel(0),
                           dconfig);
   cache.Attach();
-  const vm::RunResult result = system.Run(4'000'000'000ull);
+  const vm::RunResult result = system.RunAll(4'000'000'000ull)[0];
   ASSERT_EQ(result.reason, vm::StopReason::kHalted)
       << result.fault_message << " seed=" << seed;
   EXPECT_EQ(result.exit_code, baseline.exit_code) << "seed=" << seed;
-  EXPECT_EQ(system.OutputString(), baseline.output) << "seed=" << seed;
-  system.cc().CheckInvariants();
+  EXPECT_EQ(system.OutputString(0), baseline.output) << "seed=" << seed;
+  system.cc(0).CheckInvariants();
 }
 
 TEST_P(RandomProgramTest, ComputedJumpProgramsMatchUnderSparc) {
@@ -159,21 +159,21 @@ TEST_P(RandomProgramTest, ComputedJumpProgramsMatchUnderSparc) {
   for (const uint32_t tcache : {64u * 1024, 2048u}) {
     softcache::SoftCacheConfig config;
     config.tcache_bytes = tcache;
-    softcache::SoftCacheSystem system(*img, config);
+    softcache::MultiClientSystem system(*img, {.base = config});
     // Run in slices, revalidating every rewriting-state invariant between
     // slices — catches transiently corrupt state that a final check could
     // miss after self-healing.
     vm::RunResult result;
     for (;;) {
-      result = system.Run(20'000);
-      system.cc().CheckInvariants();
+      result = system.RunAll(system.machine(0).instructions() + 20'000)[0];
+      system.cc(0).CheckInvariants();
       if (result.reason != vm::StopReason::kInstrLimit) break;
-      ASSERT_LT(system.machine().instructions(), 400'000'000u);
+      ASSERT_LT(system.machine(0).instructions(), 400'000'000u);
     }
     ASSERT_EQ(result.reason, vm::StopReason::kHalted)
         << result.fault_message << " seed=" << seed;
     EXPECT_EQ(result.exit_code, baseline.exit_code) << "seed=" << seed;
-    EXPECT_EQ(system.OutputString(), baseline.output) << "seed=" << seed;
+    EXPECT_EQ(system.OutputString(0), baseline.output) << "seed=" << seed;
   }
 }
 

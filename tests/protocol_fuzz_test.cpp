@@ -13,10 +13,12 @@
 #include "minicc/compiler.h"
 #include "net/switch.h"
 #include "net/transport.h"
+#include "softcache/cc.h"
 #include "softcache/mc.h"
 #include "softcache/protocol.h"
 #include "softcache/system.h"
 #include "util/rng.h"
+#include "vm/machine.h"
 
 namespace sc {
 namespace {
@@ -133,7 +135,7 @@ TEST(ProtocolFuzz, HelloFramesSurviveAbuse) {
   auto ack = Reply::Parse(mc.Handle(hello.Serialize()));
   ASSERT_TRUE(ack.ok());
   EXPECT_EQ(ack->type, MsgType::kHelloAck);
-  EXPECT_EQ(ack->addr, mc.epoch());
+  EXPECT_EQ(ack->addr, mc.session(0).epoch());
 
   // A hello carrying a payload is malformed (hellos are header-only).
   Request fat = hello;
@@ -179,15 +181,35 @@ TEST(ProtocolFuzz, RandomEpochStampsNeverBreakTheServer) {
     }
     auto reply = Reply::Parse(mc.Handle(request.Serialize()));
     ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(reply->epoch, mc.epoch());
+    EXPECT_EQ(reply->epoch, mc.session(0).epoch());
     if (request.type == MsgType::kChunkRequest) {
       EXPECT_EQ(reply->type, MsgType::kChunkReply);
-    } else if (request.epoch != mc.epoch()) {
+    } else if (request.epoch != mc.session(0).epoch()) {
       EXPECT_EQ(reply->type, MsgType::kError);
     }
     if (i % 100 == 99) mc.Restart();  // keep the live epoch moving
   }
 }
+
+// One client wired by hand around the CC, so the CC talks through the
+// config's transport_factory (MultiClientSystem would replace it with its
+// switch port): the hostile transports below sit on the CC install path.
+struct HandWiredClient {
+  HandWiredClient(const image::Image& img,
+                  const softcache::SoftCacheConfig& config)
+      : mc(img, config.style, config.max_block_instrs,
+           config.max_trace_blocks),
+        channel(config.channel) {
+    machine.LoadImage(img);
+    cc = std::make_unique<softcache::CacheController>(machine, mc, channel,
+                                                      config);
+    cc->Attach();
+  }
+  vm::Machine machine;
+  MemoryController mc;
+  net::Channel channel;
+  std::unique_ptr<softcache::CacheController> cc;
+};
 
 // A transport that answers chunk requests with attacker-crafted batch
 // replies (everything else is served by the real MC). Exercises the CC's
@@ -277,8 +299,8 @@ TEST(ProtocolFuzz, HostileBatchRepliesFailCleanlyThroughCcInstallPath) {
       mc_ptr = &mc;
       return std::make_unique<HostileBatchTransport>(mc, c.craft);
     };
-    softcache::SoftCacheSystem system(img, config);
-    const vm::RunResult result = system.Run(1'000'000);
+    HandWiredClient client(img, config);
+    const vm::RunResult result = client.machine.Run(1'000'000);
     EXPECT_EQ(result.reason, vm::StopReason::kFault) << c.name;
     EXPECT_FALSE(result.fault_message.empty()) << c.name;
     ASSERT_NE(mc_ptr, nullptr);
@@ -362,7 +384,7 @@ TEST(ProtocolFuzz, CrossPostedStaleEpochFramesStayFenced) {
   Request write;
   write.type = MsgType::kDataWriteback;
   write.seq = 1;
-  write.addr = mc.DataBase();
+  write.addr = mc.server().DataBase();
   write.client_id = 1;
   write.epoch = 0;
   write.payload = {1, 2, 3, 4};
@@ -438,8 +460,8 @@ TEST(ProtocolFuzz, CorruptedDigestRepliesHealThroughFullBodyFallback) {
   const image::Image img = TestImage();
 
   softcache::SoftCacheConfig clean_config;
-  softcache::SoftCacheSystem clean(img, clean_config);
-  const vm::RunResult clean_result = clean.Run(1'000'000);
+  softcache::MultiClientSystem clean(img, {.base = clean_config});
+  const vm::RunResult clean_result = clean.RunAll(1'000'000)[0];
   ASSERT_EQ(clean_result.reason, vm::StopReason::kHalted);
 
   softcache::SoftCacheConfig config;
@@ -459,16 +481,16 @@ TEST(ProtocolFuzz, CorruptedDigestRepliesHealThroughFullBodyFallback) {
           return evil;
         });
   };
-  softcache::SoftCacheSystem system(img, config);
-  const vm::RunResult result = system.Run(1'000'000);
+  HandWiredClient client(img, config);
+  const vm::RunResult result = client.machine.Run(1'000'000);
   EXPECT_EQ(result.reason, vm::StopReason::kHalted) << result.fault_message;
   EXPECT_EQ(result.exit_code, clean_result.exit_code);
-  EXPECT_EQ(system.OutputString(), clean.OutputString());
+  EXPECT_EQ(client.machine.OutputString(), clean.OutputString(0));
   // Every crafted digest read as a miss and healed through the fallback.
-  EXPECT_GT(system.stats().shared.digest_replies, 0u);
-  EXPECT_EQ(system.stats().shared.digest_misses,
-            system.stats().shared.digest_replies);
-  EXPECT_EQ(system.stats().shared.digest_hits, 0u);
+  const softcache::SharedReplyStats& shared = client.cc->stats().shared;
+  EXPECT_GT(shared.digest_replies, 0u);
+  EXPECT_EQ(shared.digest_misses, shared.digest_replies);
+  EXPECT_EQ(shared.digest_hits, 0u);
 }
 
 TEST(ProtocolFuzz, HostileBatchRepliesFailCleanlyWithIntegrityOn) {
@@ -524,11 +546,11 @@ TEST(ProtocolFuzz, HostileBatchRepliesFailCleanlyWithIntegrityOn) {
             net::Channel&) -> std::unique_ptr<net::Transport> {
       return std::make_unique<HostileBatchTransport>(mc, c.craft);
     };
-    softcache::SoftCacheSystem system(img, config);
-    const vm::RunResult result = system.Run(1'000'000);
+    HandWiredClient client(img, config);
+    const vm::RunResult result = client.machine.Run(1'000'000);
     EXPECT_EQ(result.reason, vm::StopReason::kFault) << c.name;
     EXPECT_FALSE(result.fault_message.empty()) << c.name;
-    EXPECT_EQ(system.stats().blocks_translated, 0u)
+    EXPECT_EQ(client.cc->stats().blocks_translated, 0u)
         << c.name << ": a hostile batch reached the install path";
   }
 }

@@ -64,6 +64,13 @@ Request Writeback(uint32_t addr, uint8_t marker, uint32_t epoch = 0) {
   return write;
 }
 
+// Session 0's view of the data byte `offset` bytes past the data base.
+uint8_t DataByte(MemoryController& mc, uint32_t offset) {
+  uint8_t byte = 0;
+  mc.session(0).ReadData(mc.server().DataBase() + offset, 1, &byte);
+  return byte;
+}
+
 Reply MustParse(const std::vector<uint8_t>& bytes) {
   auto reply = Reply::Parse(bytes);
   SC_CHECK(reply.ok()) << reply.error().ToString();
@@ -77,20 +84,20 @@ Reply MustParse(const std::vector<uint8_t>& bytes) {
 TEST(CrashRecoveryMc, RestartDropsUnflushedWritesAndBumpsEpoch) {
   const image::Image img = ArrayImage();
   MemoryController mc(img, softcache::Style::kSparc, 64);
-  const uint8_t original = mc.data()[0];
+  const uint8_t original = DataByte(mc, 0);
 
-  Request write = Writeback(mc.DataBase(), 0xde);
+  Request write = Writeback(mc.server().DataBase(), 0xde);
   write.seq = 1;
   (void)mc.Handle(write.Serialize());
-  EXPECT_EQ(mc.data()[0], 0xde);
-  EXPECT_EQ(mc.applied_data_ops(), 1u);
-  EXPECT_EQ(mc.stable_data_ops(), 0u);  // below the flush barrier
+  EXPECT_EQ(DataByte(mc, 0), 0xde);
+  EXPECT_EQ(mc.session(0).applied_data_ops(), 1u);
+  EXPECT_EQ(mc.session(0).stable_data_ops(), 0u);  // below the flush barrier
 
   mc.Restart();
-  EXPECT_EQ(mc.epoch(), 1u);
-  EXPECT_EQ(mc.restarts(), 1u);
-  EXPECT_EQ(mc.data()[0], original);  // the unflushed write died with it
-  EXPECT_EQ(mc.applied_data_ops(), 0u);
+  EXPECT_EQ(mc.session(0).epoch(), 1u);
+  EXPECT_EQ(mc.server().stats().restarts, 1u);
+  EXPECT_EQ(DataByte(mc, 0), original);  // the unflushed write died with it
+  EXPECT_EQ(mc.session(0).applied_data_ops(), 0u);
 }
 
 TEST(CrashRecoveryMc, FlushBarrierMakesWritesDurable) {
@@ -99,26 +106,26 @@ TEST(CrashRecoveryMc, FlushBarrierMakesWritesDurable) {
 
   // Exactly one barrier's worth of writes: all flushed into the stable image.
   for (uint32_t i = 0; i < kMcWriteFlushIntervalOps; ++i) {
-    Request write = Writeback(mc.DataBase() + i * 4, 0x40);
+    Request write = Writeback(mc.server().DataBase() + i * 4, 0x40);
     write.seq = 100 + i;
     const Reply reply = MustParse(mc.Handle(write.Serialize()));
     ASSERT_EQ(reply.type, MsgType::kWritebackAck);
   }
-  EXPECT_EQ(mc.applied_data_ops(), kMcWriteFlushIntervalOps);
-  EXPECT_EQ(mc.stable_data_ops(), kMcWriteFlushIntervalOps);
+  EXPECT_EQ(mc.session(0).applied_data_ops(), kMcWriteFlushIntervalOps);
+  EXPECT_EQ(mc.session(0).stable_data_ops(), kMcWriteFlushIntervalOps);
 
   // Five more stay pending; a crash reverts exactly those five.
   for (uint32_t i = 0; i < 5; ++i) {
-    Request write = Writeback(mc.DataBase() + i * 4, 0x77);
+    Request write = Writeback(mc.server().DataBase() + i * 4, 0x77);
     write.seq = 200 + i;
     (void)mc.Handle(write.Serialize());
   }
-  EXPECT_EQ(mc.data()[0], 0x77);
+  EXPECT_EQ(DataByte(mc, 0), 0x77);
   mc.Restart();
-  EXPECT_EQ(mc.data()[0], 0x40);  // flushed value, not the pending one
-  EXPECT_EQ(mc.data()[5 * 4], 0x40);
-  EXPECT_EQ(mc.applied_data_ops(), kMcWriteFlushIntervalOps);
-  EXPECT_EQ(mc.stable_data_ops(), kMcWriteFlushIntervalOps);
+  EXPECT_EQ(DataByte(mc, 0), 0x40);  // flushed value, not the pending one
+  EXPECT_EQ(DataByte(mc, 5 * 4), 0x40);
+  EXPECT_EQ(mc.session(0).applied_data_ops(), kMcWriteFlushIntervalOps);
+  EXPECT_EQ(mc.session(0).stable_data_ops(), kMcWriteFlushIntervalOps);
 }
 
 TEST(CrashRecoveryMc, HelloReportsEpochAndStableWatermarks) {
@@ -136,7 +143,7 @@ TEST(CrashRecoveryMc, HelloReportsEpochAndStableWatermarks) {
   EXPECT_EQ(ack.epoch, 0u);
 
   for (uint32_t i = 0; i < kMcWriteFlushIntervalOps; ++i) {
-    Request write = Writeback(mc.DataBase() + i * 4, 0x11);
+    Request write = Writeback(mc.server().DataBase() + i * 4, 0x11);
     write.seq = 10 + i;
     (void)mc.Handle(write.Serialize());
   }
@@ -155,15 +162,16 @@ TEST(CrashRecoveryMc, RejectsStaleEpochWrites) {
   MemoryController mc(img, softcache::Style::kSparc, 64);
   mc.Restart();  // epoch 1
 
-  Request write = Writeback(mc.DataBase(), 0xaa, /*epoch=*/0);
+  Request write = Writeback(mc.server().DataBase(), 0xaa, /*epoch=*/0);
   write.seq = 9;
-  const uint8_t before = mc.data()[0];
+  const uint8_t before = DataByte(mc, 0);
   const Reply reply = MustParse(mc.Handle(write.Serialize()));
   EXPECT_EQ(reply.type, MsgType::kError);
   EXPECT_EQ(reply.epoch, 1u);  // the rejection itself carries the live epoch
-  EXPECT_EQ(mc.data()[0], before);
-  EXPECT_EQ(mc.stale_epoch_rejects(), 1u);
-  EXPECT_EQ(mc.applied_data_ops(), 0u);  // counters stay journal-aligned
+  EXPECT_EQ(DataByte(mc, 0), before);
+  EXPECT_EQ(mc.server().stats().stale_epoch_rejects, 1u);
+  // Counters stay journal-aligned.
+  EXPECT_EQ(mc.session(0).applied_data_ops(), 0u);
 
   // Reads are idempotent and served regardless of the stamped epoch.
   Request fetch;
@@ -183,27 +191,27 @@ TEST(CrashRecoveryMc, ReplayCacheDropsStaleEpochEntries) {
   const image::Image img = ArrayImage();
   MemoryController mc(img, softcache::Style::kSparc, 64);
 
-  Request write = Writeback(mc.DataBase(), 0xde, /*epoch=*/0);
+  Request write = Writeback(mc.server().DataBase(), 0xde, /*epoch=*/0);
   write.seq = 500;
   const auto frame = write.Serialize();
   const auto first_bytes = mc.Handle(frame);
   EXPECT_EQ(MustParse(first_bytes).type, MsgType::kWritebackAck);
   EXPECT_EQ(mc.Handle(frame), first_bytes);  // retransmit: cached, bit for bit
-  EXPECT_EQ(mc.replays_suppressed(), 1u);
-  const uint64_t suppressed = mc.replays_suppressed();
+  EXPECT_EQ(mc.server().stats().replays_suppressed, 1u);
+  const uint64_t suppressed = mc.server().stats().replays_suppressed;
 
   mc.Restart();
   const Reply after = MustParse(mc.Handle(frame));
   EXPECT_EQ(after.type, MsgType::kError);  // stale epoch, not a cached ack
-  EXPECT_EQ(mc.replays_suppressed(), suppressed);
+  EXPECT_EQ(mc.server().stats().replays_suppressed, suppressed);
 
   // Same story in the new epoch: a fresh write replays only within epoch 1.
-  Request fresh = Writeback(mc.DataBase(), 0x55, /*epoch=*/1);
+  Request fresh = Writeback(mc.server().DataBase(), 0x55, /*epoch=*/1);
   fresh.seq = 501;
   const auto fresh_frame = fresh.Serialize();
   EXPECT_EQ(MustParse(mc.Handle(fresh_frame)).type, MsgType::kWritebackAck);
   EXPECT_EQ(MustParse(mc.Handle(fresh_frame)).type, MsgType::kWritebackAck);
-  EXPECT_EQ(mc.replays_suppressed(), suppressed + 1);
+  EXPECT_EQ(mc.server().stats().replays_suppressed, suppressed + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -347,14 +355,15 @@ TEST(CrashRecoverySession, ReplaysJournalThroughMidRecoveryCrash) {
   uint64_t cycles = 0;
   for (uint32_t i = 0; i < 6; ++i) {
     auto reply = session.Call(
-        Writeback(mc.DataBase() + i * 4, static_cast<uint8_t>(0xb0 + i)),
+        Writeback(mc.server().DataBase() + i * 4,
+                  static_cast<uint8_t>(0xb0 + i)),
         &cycles);
     ASSERT_TRUE(reply.ok()) << reply.error().ToString();
     ASSERT_EQ(reply->type, MsgType::kWritebackAck);
   }
   EXPECT_TRUE(session.Synchronize(&cycles).ok());
 
-  EXPECT_EQ(mc.restarts(), 2u);
+  EXPECT_EQ(mc.server().stats().restarts, 2u);
   EXPECT_EQ(session.epoch(), 2u);
   EXPECT_EQ(stats.recoveries, 1u);       // one successful recovery...
   EXPECT_EQ(stats.epoch_changes, 2u);    // ...that saw two epoch changes
@@ -362,7 +371,7 @@ TEST(CrashRecoverySession, ReplaysJournalThroughMidRecoveryCrash) {
   EXPECT_EQ(stats.recovery_failures, 0u);
   EXPECT_GT(stats.recovery_cycles, 0u);
   for (uint32_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(mc.data()[i * 4], 0xb0 + i) << "write " << i << " lost";
+    EXPECT_EQ(DataByte(mc, i * 4), 0xb0 + i) << "write " << i << " lost";
   }
 }
 
@@ -388,16 +397,16 @@ TEST(CrashRecoverySession, SynthesizesAckForFlushedOpWhoseAckWasLost) {
   uint64_t cycles = 0;
   for (uint32_t i = 0; i < n; ++i) {
     auto reply =
-        session.Call(Writeback(mc.DataBase() + i * 4, 0xc0), &cycles);
+        session.Call(Writeback(mc.server().DataBase() + i * 4, 0xc0), &cycles);
     ASSERT_TRUE(reply.ok()) << reply.error().ToString();
     ASSERT_EQ(reply->type, MsgType::kWritebackAck) << "op " << i;
   }
-  EXPECT_EQ(mc.restarts(), 1u);
+  EXPECT_EQ(mc.server().stats().restarts, 1u);
   EXPECT_EQ(stats.recoveries, 1u);
   EXPECT_EQ(stats.journal_replays, 0u);  // nothing left to replay: all durable
   EXPECT_EQ(session.journal_size(), 0u);
   for (uint32_t i = 0; i < n; ++i) {
-    EXPECT_EQ(mc.data()[i * 4], 0xc0) << "write " << i << " lost";
+    EXPECT_EQ(DataByte(mc, i * 4), 0xc0) << "write " << i << " lost";
   }
 }
 
@@ -416,7 +425,8 @@ TEST(CrashRecoverySession, SynchronizeReplaysAfterIdleCrash) {
   uint64_t cycles = 0;
   for (uint32_t i = 0; i < 3; ++i) {
     auto reply = session.Call(
-        Writeback(mc.DataBase() + i * 4, static_cast<uint8_t>(0xe0 + i)),
+        Writeback(mc.server().DataBase() + i * 4,
+                  static_cast<uint8_t>(0xe0 + i)),
         &cycles);
     ASSERT_TRUE(reply.ok());
   }
@@ -425,7 +435,7 @@ TEST(CrashRecoverySession, SynchronizeReplaysAfterIdleCrash) {
   EXPECT_EQ(stats.recoveries, 1u);
   EXPECT_EQ(stats.journal_replays, 3u);
   for (uint32_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(mc.data()[i * 4], 0xe0 + i);
+    EXPECT_EQ(DataByte(mc, i * 4), 0xe0 + i);
   }
 
   // Nothing journaled since: Synchronize after truncation is a no-op.
@@ -456,13 +466,13 @@ TEST(CrashRecoveryFailure, LinkGiveUpFailsRunCleanly) {
   config.retry.timeout_cycles = 10;
   config.retry.max_timeout_cycles = 100;
   config.retry.max_attempts = 3;
-  softcache::SoftCacheSystem system(img, config);
-  system.SetInput(workloads::MakeInput(spec->name, 1));
-  const vm::RunResult result = system.Run(1'000'000'000ull);
+  softcache::MultiClientSystem system(img, {.base = config});
+  system.SetInput(0, workloads::MakeInput(spec->name, 1));
+  const vm::RunResult result = system.RunAll(1'000'000'000ull)[0];
   EXPECT_EQ(result.reason, vm::StopReason::kFault);
   EXPECT_FALSE(result.fault_message.empty());
-  EXPECT_GE(system.stats().net.giveups, 1u);
-  EXPECT_GT(system.mc().restarts(), 0u);
+  EXPECT_GE(system.cc(0).stats().net.giveups, 1u);
+  EXPECT_GT(system.mc().server().stats().restarts, 0u);
 }
 
 TEST(CrashRecoveryFailure, DcacheGiveUpFailsRunCleanly) {
@@ -559,19 +569,19 @@ struct E2eRun {
 
 E2eRun RunWorkload(const image::Image& img, const std::vector<uint8_t>& input,
                    softcache::SoftCacheConfig config) {
-  softcache::SoftCacheSystem system(img, config);
-  system.SetInput(input);
+  softcache::MultiClientSystem system(img, {.base = config});
+  system.SetInput(0, input);
   E2eRun run;
-  run.result = system.Run(8'000'000'000ull);
+  run.result = system.RunAll(8'000'000'000ull)[0];
   SC_CHECK(run.result.reason == vm::StopReason::kHalted)
       << run.result.fault_message;
   if (config.fault.crash_enabled()) {
-    SC_CHECK(system.cc().SyncSession());
+    SC_CHECK(system.cc(0).SyncSession());
   }
-  system.cc().CheckInvariants();
-  run.output = system.OutputString();
-  run.restarts = system.mc().restarts();
-  run.session = system.stats().session;
+  system.cc(0).CheckInvariants();
+  run.output = system.OutputString(0);
+  run.restarts = system.mc().server().stats().restarts;
+  run.session = system.cc(0).stats().session;
   return run;
 }
 
@@ -706,15 +716,16 @@ TEST(CrashRecoveryDcache, DataIdenticalUnderPeriodicCrashes) {
   ASSERT_FALSE(cache.failed());
   EXPECT_EQ(cached.exit_code, native_result.exit_code);
 
-  EXPECT_GT(mc.restarts(), 0u);
+  EXPECT_GT(mc.server().stats().restarts, 0u);
   EXPECT_GT(cache.stats().session.recoveries, 0u);
   EXPECT_GT(cache.stats().session.journal_replays, 0u);
-  EXPECT_GT(mc.stale_epoch_rejects(), 0u);
+  EXPECT_GT(mc.server().stats().stale_epoch_rejects, 0u);
 
   const uint32_t lo = img.data_base;
   const uint32_t hi = img.heap_base();
   for (uint32_t addr = lo; addr < hi; ++addr) {
-    ASSERT_EQ(mc.data()[addr - mc.DataBase()], *(native.mem_data() + addr))
+    ASSERT_EQ(DataByte(mc, addr - mc.server().DataBase()),
+              *(native.mem_data() + addr))
         << "data divergence at 0x" << std::hex << addr;
   }
 }
@@ -733,23 +744,23 @@ TEST(CrashRecoveryDcache, CombinedIcacheDcacheCrashesStayIdentical) {
     config.tcache_bytes = 16 * 1024;
     config.fault.seed = EnvSeed();
     config.fault.crash_period = crash_period;
-    softcache::SoftCacheSystem system(img, config);
-    system.SetInput(input);
+    softcache::MultiClientSystem system(img, {.base = config});
+    system.SetInput(0, input);
     dcache::DCacheConfig dconfig;
-    dconfig.local_base = system.cc().local_limit();
+    dconfig.local_base = system.cc(0).local_limit();
     dconfig.fault = config.fault;
-    dcache::DataCache cache(system.machine(), system.mc(), system.channel(),
+    dcache::DataCache cache(system.machine(0), system.mc(), system.channel(0),
                             dconfig);
     cache.Attach();
-    const vm::RunResult result = system.Run(16'000'000'000ull);
+    const vm::RunResult result = system.RunAll(16'000'000'000ull)[0];
     SC_CHECK(result.reason == vm::StopReason::kHalted)
         << result.fault_message;
     cache.FlushAll();
     SC_CHECK(!cache.failed());
     if (config.fault.crash_enabled()) {
-      SC_CHECK(system.cc().SyncSession());
+      SC_CHECK(system.cc(0).SyncSession());
     }
-    return std::make_pair(result, system.OutputString());
+    return std::make_pair(result, system.OutputString(0));
   };
   const auto [base_result, base_output] = run(0);
   const auto [crash_result, crash_output] = run(64);

@@ -349,10 +349,10 @@ struct SoloBaseline {
 
 SoloBaseline RunSolo(const image::Image& img,
                      const softcache::SoftCacheConfig& config) {
-  softcache::SoftCacheSystem solo(img, config);
+  softcache::MultiClientSystem solo(img, {.base = config});
   SoloBaseline base;
-  base.result = solo.Run();
-  base.output = solo.OutputString();
+  base.result = solo.RunAll()[0];
+  base.output = solo.OutputString(0);
   return base;
 }
 

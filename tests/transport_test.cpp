@@ -32,6 +32,13 @@ using softcache::Reply;
 using softcache::Request;
 using softcache::RetryConfig;
 
+// Session 0's view of the data byte `offset` bytes past the data base.
+uint8_t DataByte(MemoryController& mc, uint32_t offset) {
+  uint8_t byte = 0;
+  mc.session(0).ReadData(mc.server().DataBase() + offset, 1, &byte);
+  return byte;
+}
+
 image::Image TestImage() {
   auto img = minicc::CompileMiniC(R"(
     int f(int x) { return x * 2 + 1; }
@@ -304,12 +311,12 @@ TEST(ReliableLink, TotalLossDegradesToCleanFailEndToEnd) {
   config.retry.max_timeout_cycles = 1000;
   config.retry.max_attempts = 8;
   config.retry.attempt_deadline_cycles = 500;
-  softcache::SoftCacheSystem system(img, config);
-  const vm::RunResult result = system.Run(1'000'000);
+  softcache::MultiClientSystem system(img, {.base = config});
+  const vm::RunResult result = system.RunAll(1'000'000)[0];
   EXPECT_EQ(result.reason, vm::StopReason::kFault);
   EXPECT_NE(result.fault_message.find("transport:"), std::string::npos)
       << result.fault_message;
-  EXPECT_GT(system.stats().net.giveups, 0u);
+  EXPECT_GT(system.cc(0).stats().net.giveups, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -323,22 +330,22 @@ TEST(McReplayCache, SuppressesRetransmittedWrites) {
   Request write;
   write.type = MsgType::kDataWriteback;
   write.seq = 500;
-  write.addr = mc.DataBase();
+  write.addr = mc.server().DataBase();
   write.length = 4;
   write.payload = {0xde, 0xad, 0xbe, 0xef};
   const auto frame = write.Serialize();
 
   const auto first = mc.Handle(frame);
-  EXPECT_EQ(mc.replays_suppressed(), 0u);
+  EXPECT_EQ(mc.server().stats().replays_suppressed, 0u);
   auto first_reply = Reply::Parse(first);
   ASSERT_TRUE(first_reply.ok());
   EXPECT_EQ(first_reply->type, MsgType::kWritebackAck);
 
   // The identical retransmitted frame is answered from cache, bit for bit.
   const auto second = mc.Handle(frame);
-  EXPECT_EQ(mc.replays_suppressed(), 1u);
+  EXPECT_EQ(mc.server().stats().replays_suppressed, 1u);
   EXPECT_EQ(first, second);
-  EXPECT_EQ(mc.data()[0], 0xde);
+  EXPECT_EQ(DataByte(mc, 0), 0xde);
 
   // A *different* write with a fresh seq is applied normally.
   Request next = write;
@@ -347,8 +354,8 @@ TEST(McReplayCache, SuppressesRetransmittedWrites) {
   auto reply = Reply::Parse(mc.Handle(next.Serialize()));
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->type, MsgType::kWritebackAck);
-  EXPECT_EQ(mc.replays_suppressed(), 1u);
-  EXPECT_EQ(mc.data()[0], 0x01);
+  EXPECT_EQ(mc.server().stats().replays_suppressed, 1u);
+  EXPECT_EQ(DataByte(mc, 0), 0x01);
 }
 
 TEST(McReplayCache, DistinguishesPayloadsUnderSameSeq) {
@@ -359,14 +366,14 @@ TEST(McReplayCache, DistinguishesPayloadsUnderSameSeq) {
   Request write;
   write.type = MsgType::kDataWriteback;
   write.seq = 7;
-  write.addr = mc.DataBase();
+  write.addr = mc.server().DataBase();
   write.length = 4;
   write.payload = {1, 1, 1, 1};
   (void)mc.Handle(write.Serialize());
   write.payload = {2, 2, 2, 2};
   (void)mc.Handle(write.Serialize());
-  EXPECT_EQ(mc.replays_suppressed(), 0u);
-  EXPECT_EQ(mc.data()[0], 2);
+  EXPECT_EQ(mc.server().stats().replays_suppressed, 0u);
+  EXPECT_EQ(DataByte(mc, 0), 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -394,15 +401,15 @@ TEST_P(FaultedWorkloadTest, CompletesIdenticallyUnderFaults) {
   config.fault.drop = 0.1;
   config.fault.corrupt = 0.1;
   config.fault.duplicate = 0.1;
-  softcache::SoftCacheSystem system(img, config);
-  system.SetInput(input);
-  const vm::RunResult cached = system.Run(8'000'000'000ull);
+  softcache::MultiClientSystem system(img, {.base = config});
+  system.SetInput(0, input);
+  const vm::RunResult cached = system.RunAll(8'000'000'000ull)[0];
   ASSERT_EQ(cached.reason, vm::StopReason::kHalted) << cached.fault_message;
   EXPECT_EQ(cached.exit_code, native_result.exit_code);
-  EXPECT_EQ(system.OutputString(), native.OutputString());
-  EXPECT_GT(system.stats().net.retries, 0u);
-  EXPECT_EQ(system.stats().net.giveups, 0u);
-  system.cc().CheckInvariants();
+  EXPECT_EQ(system.OutputString(0), native.OutputString());
+  EXPECT_GT(system.cc(0).stats().net.retries, 0u);
+  EXPECT_EQ(system.cc(0).stats().net.giveups, 0u);
+  system.cc(0).CheckInvariants();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, FaultedWorkloadTest,
@@ -431,14 +438,14 @@ TEST(FaultedWorkloads, ArmStyleSurvivesTwentyPercentFaults) {
   config.fault.drop = 0.2;
   config.fault.corrupt = 0.2;
   config.fault.duplicate = 0.2;
-  softcache::SoftCacheSystem system(img, config);
-  system.SetInput(input);
-  const vm::RunResult cached = system.Run(8'000'000'000ull);
+  softcache::MultiClientSystem system(img, {.base = config});
+  system.SetInput(0, input);
+  const vm::RunResult cached = system.RunAll(8'000'000'000ull)[0];
   ASSERT_EQ(cached.reason, vm::StopReason::kHalted) << cached.fault_message;
   EXPECT_EQ(cached.exit_code, native_result.exit_code);
-  EXPECT_EQ(system.OutputString(), native.OutputString());
-  EXPECT_GT(system.stats().net.retries, 0u);
-  system.cc().CheckInvariants();
+  EXPECT_EQ(system.OutputString(0), native.OutputString());
+  EXPECT_GT(system.cc(0).stats().net.retries, 0u);
+  system.cc(0).CheckInvariants();
 }
 
 // ---------------------------------------------------------------------------
@@ -486,14 +493,15 @@ TEST(FaultedDcache, DataEquivalentAndWritesNotAppliedTwice) {
   const uint32_t lo = img.data_base;
   const uint32_t hi = img.heap_base();
   for (uint32_t addr = lo; addr < hi; ++addr) {
-    ASSERT_EQ(mc.data()[addr - mc.DataBase()], *(native.mem_data() + addr))
+    ASSERT_EQ(DataByte(mc, addr - mc.server().DataBase()),
+              *(native.mem_data() + addr))
         << "data divergence at 0x" << std::hex << addr;
   }
   EXPECT_GT(cache.stats().writebacks, 0u);
   EXPECT_GT(cache.stats().net.retries, 0u);
   // Duplicated/retransmitted writebacks were answered from the replay
   // cache, not applied twice.
-  EXPECT_GT(mc.replays_suppressed(), 0u);
+  EXPECT_GT(mc.server().stats().replays_suppressed, 0u);
 }
 
 }  // namespace
