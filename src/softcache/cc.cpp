@@ -136,6 +136,15 @@ Chunk ChunkFromWire(uint32_t addr, uint32_t aux, uint32_t extra,
   return chunk;
 }
 
+// True when a wire chunk covers original address `pc`: its span is the body
+// words plus the trailing jump folded away (Chunk::orig_span_bytes), so a
+// block made of a lone `j` — zero body words — still covers its own pc.
+bool WireChunkCovers(uint32_t addr, uint32_t aux, uint32_t body_bytes,
+                     uint32_t pc) {
+  const uint32_t span = body_bytes + (UnpackJumpFolded(aux) ? 4u : 0u);
+  return pc >= addr && pc - addr < span;
+}
+
 }  // namespace
 
 util::Result<Chunk> CacheController::FetchChunk(uint32_t orig_pc) {
@@ -218,8 +227,8 @@ util::Result<Chunk> CacheController::FetchChunk(uint32_t orig_pc) {
       }
     }
     if (store_hit &&
-        (orig_pc < stored.addr ||
-         orig_pc >= stored.addr + static_cast<uint32_t>(stored.words->size()))) {
+        !WireChunkCovers(stored.addr, stored.aux,
+                         static_cast<uint32_t>(stored.words->size()), orig_pc)) {
       // The digest binds the chunk's address, so a digest that resolves to a
       // body NOT covering the demanded pc can only come from a corrupted or
       // hostile reply. (Coverage, not equality: ARM whole-procedure chunks
@@ -255,8 +264,7 @@ util::Result<Chunk> CacheController::FetchChunk(uint32_t orig_pc) {
     // The demanded chunk leads the batch; the rest are speculative and go to
     // the staging buffer.
     const BatchChunkView& head = (*views)[0];
-    if (orig_pc < head.addr ||
-        orig_pc >= head.addr + static_cast<uint32_t>(head.nwords) * 4) {
+    if (!WireChunkCovers(head.addr, head.aux, head.nwords * 4, orig_pc)) {
       // A legitimate batch always leads with the chunk covering the demanded
       // pc (ARM procedure chunks start at the symbol, which may sit below a
       // mid-procedure demand); anything else is a corrupted or hostile reply
