@@ -91,6 +91,11 @@ inline bool ParseEvictPolicy(const std::string& name, EvictPolicy* evict) {
   return true;
 }
 
+// Largest workload input scale the CLI accepts. Inputs grow linearly with
+// it (sha256 at 1024 is about 41 MB); the largest scale any bench or test
+// uses is 8.
+inline constexpr int64_t kMaxScale = 1024;
+
 // CLI-level validation of the numeric client knobs (--tcache,
 // --trace-blocks, --scale), returning an error string instead of crashing:
 // the CacheController constructor and the workload input generator treat
@@ -108,8 +113,8 @@ inline bool ValidateCacheFlags(int64_t tcache_bytes, int64_t trace_blocks,
     *error = "trace-blocks must be >= 1 (1 = plain basic blocks)";
     return false;
   }
-  if (scale < 1 || scale > INT32_MAX) {
-    *error = "scale must be in [1, " + std::to_string(INT32_MAX) + "]";
+  if (scale < 1 || scale > kMaxScale) {
+    *error = "scale must be in [1, " + std::to_string(kMaxScale) + "]";
     return false;
   }
   return true;

@@ -32,6 +32,21 @@ TEST(ToolArgs, IntegerValues) {
   EXPECT_EQ(args.GetInt("hex", 0), 64u);
   EXPECT_EQ(args.GetInt("empty", 7), 7u);   // flag without value -> fallback
   EXPECT_EQ(args.GetInt("absent", 9), 9u);
+
+  // A value that does not parse completely is a usage error (exit 2 with a
+  // message), never a silently truncated number.
+  const auto bad = MakeArgs({"--tcache=2048x", "--clients=2junk",
+                             "--huge=99999999999999999999", "--rate=0.5x",
+                             "--rate_ok=0.25"});
+  EXPECT_EXIT(bad.GetInt("tcache", 0), ::testing::ExitedWithCode(2),
+              "--tcache=2048x: not an integer");
+  EXPECT_EXIT(bad.GetInt("clients", 0), ::testing::ExitedWithCode(2),
+              "--clients=2junk");
+  EXPECT_EXIT(bad.GetInt("huge", 0), ::testing::ExitedWithCode(2), "huge");
+  EXPECT_EXIT(bad.GetDouble("rate", 0), ::testing::ExitedWithCode(2),
+              "--rate=0.5x: not a number");
+  EXPECT_EQ(bad.GetDouble("rate_ok", 0), 0.25);
+  EXPECT_EQ(bad.GetDouble("absent", 0.5), 0.5);
 }
 
 TEST(ToolArgs, UnknownFlagDetection) {

@@ -1,7 +1,9 @@
 // Shared helpers for the command-line tools.
 #pragma once
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -70,9 +72,30 @@ class Args {
     }
     return fallback;
   }
+  // Numeric flag values (integers in decimal or 0x-hex). A value that does
+  // not parse completely — trailing junk, out of range — is a usage error:
+  // a message on stderr and exit 2, never a silently truncated number.
   uint64_t GetInt(const std::string& name, uint64_t fallback) const {
     const std::string v = Get(name);
-    return v.empty() ? fallback : std::strtoull(v.c_str(), nullptr, 0);
+    if (v.empty()) return fallback;
+    errno = 0;
+    char* end = nullptr;
+    const uint64_t value = std::strtoull(v.c_str(), &end, 0);
+    if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
+      BadValue(name, v, "an integer");
+    }
+    return value;
+  }
+  double GetDouble(const std::string& name, double fallback) const {
+    const std::string v = Get(name);
+    if (v.empty()) return fallback;
+    errno = 0;
+    char* end = nullptr;
+    const double value = std::strtod(v.c_str(), &end);
+    if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
+      BadValue(name, v, "a number");
+    }
+    return value;
   }
   const std::vector<std::string>& positional() const { return positional_; }
   // Flags not in `known` (typo detection); returns first unknown or "".
@@ -88,6 +111,14 @@ class Args {
   }
 
  private:
+  [[noreturn]] static void BadValue(const std::string& name,
+                                    const std::string& value,
+                                    const char* expected) {
+    std::fprintf(stderr, "--%s=%s: not %s\n", name.c_str(), value.c_str(),
+                 expected);
+    std::exit(2);
+  }
+
   std::vector<std::pair<std::string, std::string>> flags_;
   std::vector<std::string> positional_;
 };
