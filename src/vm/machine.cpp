@@ -60,6 +60,10 @@ void Machine::SetExecRange(uint32_t lo, uint32_t hi) {
 }
 
 void Machine::set_cost_model(const CostModel& cost) {
+  for (const uint32_t c : {cost.alu, cost.mul, cost.div, cost.load, cost.store,
+                           cost.branch, cost.jump, cost.syscall}) {
+    SC_CHECK_LE(c, kSbMaxOpCost) << "instruction cost too large";
+  }
   FlushSuperblocks();
   cost_ = cost;
 }

@@ -252,7 +252,7 @@ class Machine {
 
   const CostModel& cost_model() const { return cost_; }
   // Superblocks bake per-op cycle costs in at translation time, so changing
-  // the model flushes them.
+  // the model flushes them. Each cost must be at most kSbMaxOpCost.
   void set_cost_model(const CostModel& cost);
 
   // Raises an architectural fault from inside a hook (e.g. the ARM-style

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <new>
 
@@ -99,6 +100,7 @@ Superblock* SuperblockCache::Publish(uint32_t start, uint32_t span,
   sb->span = span;
   sb->n_ops = n_ops;
   sb->valid = true;
+  sb->n_instr = static_cast<uint8_t>(span / 4);
   std::uninitialized_copy_n(ops, n_ops, sb->ops());
   pool_.push_back(sb);
   index_.Put(start, sb);
@@ -203,7 +205,7 @@ uint64_t SbDigest(const Superblock& sb) {
     const SbOp& op = sb.ops()[i];
     mix(op.pc);
     mix(static_cast<uint32_t>(op.imm));
-    mix(op.cost);
+    mix(op.rest_cost);
     mix((static_cast<uint64_t>(op.kind) << 24) |
         (static_cast<uint64_t>(op.rd) << 16) |
         (static_cast<uint64_t>(op.rs1) << 8) | op.rs2);
@@ -345,6 +347,7 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
     uint32_t word = 0;
     std::memcpy(&word, mem_ + pc, 4);
     const Instr in = isa::Decode(word);
+    // rest_cost holds the op's own cost until the suffix pass below.
     SbOp& op = ops[n++];
     op.pc = pc;
     op.rd = in.rd;
@@ -355,11 +358,11 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
       case Opcode::kAlu:
         // SbKind mirrors AluOp order (kSbAdd..kSbRemu).
         op.kind = static_cast<uint8_t>(kSbAdd + static_cast<int>(in.funct));
-        op.cost = in.funct == AluOp::kMul ? cost_.mul
-                  : (in.funct == AluOp::kDiv || in.funct == AluOp::kDivu ||
-                     in.funct == AluOp::kRem || in.funct == AluOp::kRemu)
-                      ? cost_.div
-                      : cost_.alu;
+        op.rest_cost = in.funct == AluOp::kMul ? cost_.mul
+                       : (in.funct == AluOp::kDiv || in.funct == AluOp::kDivu ||
+                          in.funct == AluOp::kRem || in.funct == AluOp::kRemu)
+                           ? cost_.div
+                           : cost_.alu;
         break;
       case Opcode::kAddi:
       case Opcode::kAndi:
@@ -374,7 +377,7 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
         // SbKind mirrors the opcode order kAddi..kLui.
         op.kind = static_cast<uint8_t>(
             kSbAddi + (static_cast<int>(in.op) - static_cast<int>(Opcode::kAddi)));
-        op.cost = cost_.alu;
+        op.rest_cost = cost_.alu;
         break;
       case Opcode::kLw:
       case Opcode::kLh:
@@ -383,14 +386,14 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
       case Opcode::kLbu:
         op.kind = static_cast<uint8_t>(
             kSbLw + (static_cast<int>(in.op) - static_cast<int>(Opcode::kLw)));
-        op.cost = cost_.load;
+        op.rest_cost = cost_.load;
         break;
       case Opcode::kSw:
       case Opcode::kSh:
       case Opcode::kSb:
         op.kind = static_cast<uint8_t>(
             kSbSw + (static_cast<int>(in.op) - static_cast<int>(Opcode::kSw)));
-        op.cost = cost_.store;
+        op.rest_cost = cost_.store;
         break;
       case Opcode::kBeq:
       case Opcode::kBne:
@@ -400,26 +403,26 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
       case Opcode::kBgeu:
         op.kind = static_cast<uint8_t>(
             kSbBeq + (static_cast<int>(in.op) - static_cast<int>(Opcode::kBeq)));
-        op.cost = cost_.branch;
+        op.rest_cost = cost_.branch;
         op.imm = static_cast<int32_t>(isa::BranchTarget(pc, in.imm));
         break;
       case Opcode::kJ:
         op.kind = kSbJ;
-        op.cost = cost_.jump;
+        op.rest_cost = cost_.jump;
         op.imm = static_cast<int32_t>(isa::BranchTarget(pc, in.imm));
         break;
       case Opcode::kJal:
         op.kind = kSbJal;
-        op.cost = cost_.jump;
+        op.rest_cost = cost_.jump;
         op.imm = static_cast<int32_t>(isa::BranchTarget(pc, in.imm));
         break;
       case Opcode::kJalr:
         op.kind = kSbJalr;
-        op.cost = cost_.jump;
+        op.rest_cost = cost_.jump;
         break;
       case Opcode::kSys:
         op.kind = kSbSys;
-        op.cost = cost_.syscall;
+        op.rest_cost = cost_.syscall;
         break;
       case Opcode::kHalt:
         op.kind = kSbHalt;
@@ -429,7 +432,7 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
         break;
       case Opcode::kTcJalr:
         op.kind = kSbTcJalr;
-        op.cost = cost_.jump;
+        op.rest_cost = cost_.jump;
         break;
       case Opcode::kIllegal:
       default:
@@ -459,6 +462,9 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
     op.kind = kSbFallthrough;
     op.handler = handlers != nullptr ? handlers[kSbFallthrough] : nullptr;
   }
+  // Suffix sums: every op's rest_cost becomes its own cost plus all later
+  // ops' (set_cost_model bounds each cost so the block total fits).
+  for (uint32_t i = n - 1; i-- > 0;) ops[i].rest_cost += ops[i + 1].rest_cost;
   Superblock* sb = cache.Publish(start, span, ops, n);
   if (sb_integrity_) sb->digest = SbDigest(*sb);
   SyncSuperblockBounds();
@@ -470,68 +476,144 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
 
 // --- The threaded inner loop ---
 //
-// Per-op bookkeeping mirrors the interpreter's exact ordering: budget check,
-// FetchObserver, instret, then the semantic action with the cycle charge at
-// the interpreter's position (e.g. before DoSyscall, after a load completes,
-// never for a faulting divide). Everything else the interpreter does per
-// instruction — fetch-address validation, the memory fetch, the decode-cache
-// probe, the opcode switch, next-pc arithmetic — is gone: it happened once,
-// at translation time.
+// Accounting is per block. Entering a superblock, from the dispatch loop or
+// by a chain hop, retires all of its instructions and charges all of its
+// static cycles at once (`ret += sb->n_instr`, `cyc += ops()[0].rest_cost`)
+// and tests the instruction budget once. A fast handler then does only its
+// op's work and dispatches the next op: no budget test, no observer test, no
+// counter update. Everything else the interpreter does per instruction —
+// fetch-address validation, the memory fetch, the decode-cache probe, the
+// opcode switch, next-pc arithmetic — happened once, at translation time.
 //
-// The retired-instruction and cycle counters live in locals (`ret`, `cyc`)
-// inside the dispatch region so straight-line ALU runs touch no Machine
-// members at all; SB_FLUSH publishes them before anything that can observe
-// the members (fault construction, syscalls, trap handlers, the data hook,
-// observers, OBS events whose tracer clock reads cycles_) and SB_RELOAD
-// reacquires them after call-outs that may Charge(). pc_ is only written
-// where someone can read it: fault paths, call-outs, and block exits.
+// The counters live in locals (`ret`, `cyc`) and reach instret_/cycles_
+// only where something can read the members: fault construction, syscalls,
+// trap handlers, the data hook (whose crash schedule reads cycles_),
+// observers, and block exits (OBS events at the dispatch loop read cycles_
+// through the tracer clock). Inside a block the locals run ahead of the
+// interpreter by the work it has not done yet, so every such point takes
+// that back (SB_FLUSH_*): the instructions of the ops after this one
+// (SB_LATER), and the cycles either from this op on (it has retired, but
+// the interpreter charges it later: after a load's or store's
+// TranslateData, and never for a faulting divide, data access or TCJALR)
+// or from the next op on (this one is done). After a call-out that may
+// Charge(), SB_RELOAD_* adds the same amount back to the members. Block
+// exits publish the locals as they are.
+//
+// Every handler exists twice, built from the same body in
+// superblock_handlers.inc: the fast set (SB_CHECKED 0) and the checked set
+// (SB_CHECKED 1). Block entry (SB_ENTER) picks the checked set when the
+// block does not fit the remaining budget or a FetchObserver is attached.
+// Its SB_PRE runs the interpreter's per-instruction prologue in the
+// interpreter's order: the budget test, which stops at the exact
+// instruction, then OnFetch. The choice is made again at every block entry,
+// so a run goes back to the fast set once neither condition holds, and it
+// never falls back to the interpreter (or its decode cache).
 
 #if SC_SB_COMPUTED_GOTO
-#define SB_CASE(k) h_##k
-#define SB_NEXT()      \
-  do {                 \
-    ++op;              \
-    goto* op->handler; \
-  } while (0)
-#define SB_DISPATCH() goto* op->handler
+#define SB_LABEL_(checked, kind) h##checked##_##kind
+#define SB_LABEL(checked, kind) SB_LABEL_(checked, kind)
+#define SB_CASE(kind) SB_LABEL(SB_CHECKED, kind)
+#define SB_GOTO_FAST() goto* op->handler
+#define SB_GOTO_CHECKED() goto* kCheckedHandlers[op->kind]
 #else
-#define SB_CASE(k) case k
-#define SB_NEXT()  \
-  do {             \
-    ++op;          \
-    goto dispatch; \
+#define SB_CASE(kind) case SB_CHECKED * kSbKindCount + (kind)
+#define SB_GOTO_FAST() \
+  do {                 \
+    sel = op->kind;    \
+    goto dispatch;     \
   } while (0)
-#define SB_DISPATCH() goto dispatch
+#define SB_GOTO_CHECKED()          \
+  do {                             \
+    sel = kSbKindCount + op->kind; \
+    goto dispatch;                 \
+  } while (0)
 #endif
 
-#define SB_FLUSH() \
-  do {             \
-    instret_ = ret; \
-    cycles_ = cyc;  \
+// The next op of the block, on the handler set of the current one.
+#define SB_NEXT()                      \
+  do {                                 \
+    ++op;                              \
+    if (SB_CHECKED) SB_GOTO_CHECKED(); \
+    SB_GOTO_FAST();                    \
   } while (0)
 
-#define SB_RELOAD() \
-  do {              \
-    ret = instret_; \
-    cyc = cycles_;  \
+// Enters block `sb` at its first op: retires its instructions, charges its
+// cycles, and dispatches on the checked set if the block overruns the budget
+// or `watched` holds, else on the fast set.
+#define SB_ENTER(watched)                               \
+  do {                                                  \
+    op = sb->ops();                                     \
+    ret += sb->n_instr;                                 \
+    cyc += op->rest_cost;                               \
+    if (ret > ret_end || (watched)) [[unlikely]] {      \
+      SB_GOTO_CHECKED();                                \
+    }                                                   \
+    SB_GOTO_FAST();                                     \
   } while (0)
 
-#define SB_PRE()                                  \
-  do {                                            \
-    if (remaining == 0) {                         \
-      pc_ = op->pc;                               \
-      SB_FLUSH();                                 \
-      return MakeResult(StopReason::kInstrLimit); \
-    }                                             \
-    --remaining;                                  \
-    if (observer != nullptr) {                    \
-      pc_ = op->pc;                               \
-      SB_FLUSH();                                 \
-      observer->OnFetch(op->pc);                  \
-      SB_RELOAD();                                \
-      observer = fetch_observer_;                 \
-    }                                             \
-    ++ret;                                        \
+// Real ops of the running block after `op` (0 at its terminator).
+#define SB_LATER() \
+  (uint64_t{sb->n_instr} - 1 - static_cast<uint64_t>(op - sb->ops()))
+
+// Publishes the counters less `n` instructions and `c` cycles charged for
+// work not yet done; SB_RELOAD_MORE reacquires them with the same amounts.
+#define SB_FLUSH_LESS(n, c) \
+  do {                      \
+    instret_ = ret - (n);   \
+    cycles_ = cyc - (c);    \
+  } while (0)
+#define SB_RELOAD_MORE(n, c) \
+  do {                       \
+    ret = instret_ + (n);    \
+    cyc = cycles_ + (c);     \
+  } while (0)
+
+// At a block exit (after the terminator's charge): the locals are exact.
+#define SB_FLUSH() SB_FLUSH_LESS(0, 0)
+#define SB_RELOAD() SB_RELOAD_MORE(0, 0)
+// Before `op` is fetched: the budget stop and the FetchObserver.
+#define SB_FLUSH_BEFORE_OP() SB_FLUSH_LESS(SB_LATER() + 1, op->rest_cost)
+#define SB_RELOAD_BEFORE_OP() SB_RELOAD_MORE(SB_LATER() + 1, op->rest_cost)
+// `op` has retired, its cycle charge is still to come.
+#define SB_FLUSH_AT_OP() SB_FLUSH_LESS(SB_LATER(), op->rest_cost)
+#define SB_RELOAD_AT_OP() SB_RELOAD_MORE(SB_LATER(), op->rest_cost)
+// `op` is done. Non-terminators only: reads the op after it.
+#define SB_FLUSH_PAST_OP() SB_FLUSH_LESS(SB_LATER(), op[1].rest_cost)
+
+// The checked set's per-op prologue; the fast set has none, because its
+// block fit the budget on entry and no FetchObserver was attached.
+#define SB_PRE()                                    \
+  do {                                              \
+    if (SB_CHECKED) {                               \
+      if (ret - SB_LATER() > ret_end) {             \
+        pc_ = op->pc;                               \
+        SB_FLUSH_BEFORE_OP();                       \
+        return MakeResult(StopReason::kInstrLimit); \
+      }                                             \
+      if (observer != nullptr) {                    \
+        pc_ = op->pc;                               \
+        SB_FLUSH_BEFORE_OP();                       \
+        observer->OnFetch(op->pc);                  \
+        SB_RELOAD_BEFORE_OP();                      \
+        observer = fetch_observer_;                 \
+      }                                             \
+    }                                               \
+  } while (0)
+
+// Leaves the block along chain slot `edge` (taken or fall), resuming at
+// guest pc `target`: straight into the successor while it is valid, else
+// through the dispatch loop, which then fills the slot.
+#define SB_EXIT_VIA(edge, target)                  \
+  do {                                             \
+    Superblock* nxt = sb->edge;                    \
+    if (nxt != nullptr && nxt->valid) {            \
+      sb = nxt;                                    \
+      SB_ENTER(SB_CHECKED && observer != nullptr); \
+    }                                              \
+    pc_ = (target);                                \
+    chain_slot = &sb->edge;                        \
+    SB_FLUSH();                                    \
+    goto outer;                                    \
   } while (0)
 
 // Binary ALU op: `a` and `b` are the operand registers.
@@ -541,8 +623,23 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
     const uint32_t a = regs_[op->rs1]; \
     const uint32_t b = regs_[op->rs2]; \
     set_reg(op->rd, (expr));           \
-    cyc += op->cost;                   \
     SB_NEXT();                         \
+  }
+
+// Divide or remainder: a zero divisor faults before the op's cycle charge,
+// as in the interpreter.
+#define SB_DIVIDE(kind, expr)               \
+  SB_CASE(kind) : {                         \
+    SB_PRE();                               \
+    const uint32_t a = regs_[op->rs1];      \
+    const uint32_t b = regs_[op->rs2];      \
+    if (b == 0) {                           \
+      pc_ = op->pc;                         \
+      SB_FLUSH_AT_OP();                     \
+      return FaultHere("division by zero"); \
+    }                                       \
+    set_reg(op->rd, (expr));                \
+    SB_NEXT();                              \
   }
 
 // Immediate ALU op: `a` is rs1, `imm` the decoded immediate.
@@ -552,39 +649,18 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
     const uint32_t a = regs_[op->rs1]; \
     const int32_t imm = op->imm;       \
     set_reg(op->rd, (expr));           \
-    cyc += op->cost;                   \
     SB_NEXT();                         \
   }
 
 // Conditional branch terminator with block chaining on both edges. pc_ is
 // only materialized on the unchained (dispatch-loop) path.
-#define SB_BRANCH(kind, cond)                 \
-  SB_CASE(kind) : {                           \
-    SB_PRE();                                 \
-    const uint32_t a = regs_[op->rs1];        \
-    const uint32_t b = regs_[op->rs2];        \
-    cyc += op->cost;                          \
-    if (cond) {                               \
-      Superblock* nxt = sb->taken;            \
-      if (nxt != nullptr && nxt->valid) {     \
-        sb = nxt;                             \
-        op = sb->ops();                       \
-        SB_DISPATCH();                        \
-      }                                       \
-      pc_ = static_cast<uint32_t>(op->imm);   \
-      chain_slot = &sb->taken;                \
-    } else {                                  \
-      Superblock* nxt = sb->fall;             \
-      if (nxt != nullptr && nxt->valid) {     \
-        sb = nxt;                             \
-        op = sb->ops();                       \
-        SB_DISPATCH();                        \
-      }                                       \
-      pc_ = op->pc + 4;                       \
-      chain_slot = &sb->fall;                 \
-    }                                         \
-    SB_FLUSH();                               \
-    goto outer;                               \
+#define SB_BRANCH(kind, cond)                                     \
+  SB_CASE(kind) : {                                               \
+    SB_PRE();                                                     \
+    const uint32_t a = regs_[op->rs1];                            \
+    const uint32_t b = regs_[op->rs2];                            \
+    if (cond) SB_EXIT_VIA(taken, static_cast<uint32_t>(op->imm)); \
+    SB_EXIT_VIA(fall, op->pc + 4);                                \
   }
 
 // A load. The fast path (no data hook over the address) validates with an
@@ -597,31 +673,29 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
     SB_PRE();                                                            \
     const uint32_t vaddr = regs_[op->rs1] + static_cast<uint32_t>(op->imm); \
     if (data_hook_ == nullptr || vaddr < data_hook_lo_ ||                \
-        vaddr >= data_hook_hi_) {                                        \
-      if (!DataAddrOk(vaddr, nbytes, mem_size_)) {                       \
+        vaddr >= data_hook_hi_) [[likely]] {                             \
+      if (!DataAddrOk(vaddr, nbytes, mem_size_)) [[unlikely]] {          \
         pc_ = op->pc;                                                    \
-        SB_FLUSH();                                                      \
+        SB_FLUSH_AT_OP();                                                \
         CheckDataAddr(vaddr, nbytes);                                    \
         return MakeResult(pending_stop_);                                \
       }                                                                  \
       const uint32_t paddr = vaddr;                                      \
       read_stmt;                                                         \
-      cyc += op->cost;                                                   \
       SB_NEXT();                                                         \
     }                                                                    \
     pc_ = op->pc;                                                        \
-    SB_FLUSH();                                                          \
+    SB_FLUSH_AT_OP();                                                    \
     if (!CheckDataAddr(vaddr, nbytes)) return MakeResult(pending_stop_); \
     const uint32_t paddr = TranslateData(vaddr, nbytes, false);          \
     if (pending_stop_ != StopReason::kRunning) {                         \
       return MakeResult(pending_stop_);                                  \
     }                                                                    \
-    SB_RELOAD();                                                         \
+    SB_RELOAD_AT_OP();                                                   \
     read_stmt;                                                           \
-    cyc += op->cost;                                                     \
     if (sb_interrupt_) {                                                 \
       pc_ = op->pc + 4;                                                  \
-      SB_FLUSH();                                                        \
+      SB_FLUSH_PAST_OP();                                                \
       goto outer;                                                        \
     }                                                                    \
     SB_NEXT();                                                           \
@@ -636,19 +710,18 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
     SB_PRE();                                                            \
     const uint32_t vaddr = regs_[op->rs1] + static_cast<uint32_t>(op->imm); \
     if (data_hook_ == nullptr || vaddr < data_hook_lo_ ||                \
-        vaddr >= data_hook_hi_) {                                        \
-      if (!DataAddrOk(vaddr, nbytes, mem_size_)) {                       \
+        vaddr >= data_hook_hi_) [[likely]] {                             \
+      if (!DataAddrOk(vaddr, nbytes, mem_size_)) [[unlikely]] {          \
         pc_ = op->pc;                                                    \
-        SB_FLUSH();                                                      \
+        SB_FLUSH_AT_OP();                                                \
         CheckDataAddr(vaddr, nbytes);                                    \
         return MakeResult(pending_stop_);                                \
       }                                                                  \
       const uint32_t paddr = vaddr;                                      \
       write_stmt;                                                        \
-      cyc += op->cost;                                                   \
       if (paddr < sb_hi_ && paddr + nbytes > sb_lo_) {                   \
         pc_ = op->pc;                                                    \
-        SB_FLUSH();                                                      \
+        SB_FLUSH_PAST_OP();                                              \
         SuperblockStoreSlow(paddr, nbytes);                              \
         if (sb_interrupt_) {                                             \
           pc_ = op->pc + 4;                                              \
@@ -658,28 +731,50 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
       SB_NEXT();                                                         \
     }                                                                    \
     pc_ = op->pc;                                                        \
-    SB_FLUSH();                                                          \
+    SB_FLUSH_AT_OP();                                                    \
     if (!CheckDataAddr(vaddr, nbytes)) return MakeResult(pending_stop_); \
     const uint32_t paddr = TranslateData(vaddr, nbytes, true);           \
     if (pending_stop_ != StopReason::kRunning) {                         \
       return MakeResult(pending_stop_);                                  \
     }                                                                    \
-    SB_RELOAD();                                                         \
+    SB_RELOAD_AT_OP();                                                   \
     write_stmt;                                                          \
-    cyc += op->cost;                                                     \
     if (paddr < sb_hi_ && paddr + nbytes > sb_lo_) {                     \
-      SB_FLUSH();                                                        \
+      SB_FLUSH_PAST_OP();                                                \
       SuperblockStoreSlow(paddr, nbytes);                                \
     }                                                                    \
     if (sb_interrupt_) {                                                 \
       pc_ = op->pc + 4;                                                  \
-      SB_FLUSH();                                                        \
+      SB_FLUSH_PAST_OP();                                                \
       goto outer;                                                        \
     }                                                                    \
     SB_NEXT();                                                           \
   }
 
+// Every SbKind in enum order, for the label-address tables.
+#define SB_KINDS(X)                                                          \
+  X(kSbAdd) X(kSbSub) X(kSbAnd) X(kSbOr) X(kSbXor) X(kSbSll) X(kSbSrl)       \
+  X(kSbSra) X(kSbSlt) X(kSbSltu) X(kSbMul) X(kSbDiv) X(kSbDivu) X(kSbRem)    \
+  X(kSbRemu) X(kSbAddi) X(kSbAndi) X(kSbOri) X(kSbXori) X(kSbSlti)           \
+  X(kSbSltiu) X(kSbSlli) X(kSbSrli) X(kSbSrai) X(kSbLui) X(kSbLw) X(kSbLh)   \
+  X(kSbLhu) X(kSbLb) X(kSbLbu) X(kSbSw) X(kSbSh) X(kSbSb) X(kSbBeq)          \
+  X(kSbBne) X(kSbBlt) X(kSbBge) X(kSbBltu) X(kSbBgeu) X(kSbJ) X(kSbJal)      \
+  X(kSbJalr) X(kSbSys) X(kSbHalt) X(kSbTcMiss) X(kSbTcJalr) X(kSbIllegal)    \
+  X(kSbFallthrough)
+
 namespace {
+
+#define SB_KIND_ENTRY(kind) kind,
+constexpr SbKind kKindOrder[] = {SB_KINDS(SB_KIND_ENTRY)};
+#undef SB_KIND_ENTRY
+
+constexpr bool KindsInEnumOrder() {
+  for (size_t i = 0; i < std::size(kKindOrder); ++i) {
+    if (static_cast<size_t>(kKindOrder[i]) != i) return false;
+  }
+  return std::size(kKindOrder) == kSbKindCount;
+}
+static_assert(KindsInEnumOrder(), "SB_KINDS must list every SbKind in order");
 
 // The interpreter's CheckDataAddr as a branch-free-ish predicate; the cold
 // caller re-runs CheckDataAddr to build the identical fault message.
@@ -687,6 +782,19 @@ inline bool DataAddrOk(uint32_t addr, uint32_t size, uint64_t mem_size) {
   return addr >= image::kNullGuardEnd &&
          static_cast<uint64_t>(addr) + size <= mem_size &&
          (size <= 1 || addr % size == 0);
+}
+
+// Signed divide and remainder. INT_MIN / -1 overflows; it is defined as
+// wrapping (quotient INT_MIN, remainder 0).
+inline uint32_t DivSigned(uint32_t a, uint32_t b) {
+  const int32_t sa = static_cast<int32_t>(a);
+  const int32_t sb = static_cast<int32_t>(b);
+  return sa == INT32_MIN && sb == -1 ? a : static_cast<uint32_t>(sa / sb);
+}
+inline uint32_t RemSigned(uint32_t a, uint32_t b) {
+  const int32_t sa = static_cast<int32_t>(a);
+  const int32_t sb = static_cast<int32_t>(b);
+  return sa == INT32_MIN && sb == -1 ? 0u : static_cast<uint32_t>(sa % sb);
 }
 
 }  // namespace
@@ -701,26 +809,27 @@ inline bool DataAddrOk(uint32_t addr, uint32_t size, uint64_t mem_size) {
   if (pending_stop_ != StopReason::kRunning) return MakeResult(pending_stop_);
 
 #if SC_SB_COMPUTED_GOTO
-  // Label-address table, indexed by SbKind (same order as the enum).
-  const void* handler_table[kSbKindCount] = {
-      &&h_kSbAdd,  &&h_kSbSub,  &&h_kSbAnd,   &&h_kSbOr,     &&h_kSbXor,
-      &&h_kSbSll,  &&h_kSbSrl,  &&h_kSbSra,   &&h_kSbSlt,    &&h_kSbSltu,
-      &&h_kSbMul,  &&h_kSbDiv,  &&h_kSbDivu,  &&h_kSbRem,    &&h_kSbRemu,
-      &&h_kSbAddi, &&h_kSbAndi, &&h_kSbOri,   &&h_kSbXori,   &&h_kSbSlti,
-      &&h_kSbSltiu, &&h_kSbSlli, &&h_kSbSrli, &&h_kSbSrai,   &&h_kSbLui,
-      &&h_kSbLw,   &&h_kSbLh,   &&h_kSbLhu,   &&h_kSbLb,     &&h_kSbLbu,
-      &&h_kSbSw,   &&h_kSbSh,   &&h_kSbSb,    &&h_kSbBeq,    &&h_kSbBne,
-      &&h_kSbBlt,  &&h_kSbBge,  &&h_kSbBltu,  &&h_kSbBgeu,   &&h_kSbJ,
-      &&h_kSbJal,  &&h_kSbJalr, &&h_kSbSys,   &&h_kSbHalt,   &&h_kSbTcMiss,
-      &&h_kSbTcJalr, &&h_kSbIllegal, &&h_kSbFallthrough,
-  };
-  static_assert(kSbKindCount == 48, "handler table must match SbKind");
-  const void* const* handlers = handler_table;
+  // Label-address tables, indexed by SbKind. Translation stores the fast
+  // handler in each op; the checked set is reached through its table.
+#define SB_FAST_ADDR(kind) &&SB_LABEL(0, kind),
+#define SB_CHECKED_ADDR(kind) &&SB_LABEL(1, kind),
+  static const void* const kFastHandlers[kSbKindCount] = {
+      SB_KINDS(SB_FAST_ADDR)};
+  static const void* const kCheckedHandlers[kSbKindCount] = {
+      SB_KINDS(SB_CHECKED_ADDR)};
+#undef SB_FAST_ADDR
+#undef SB_CHECKED_ADDR
+  const void* const* handlers = kFastHandlers;
 #else
   const void* const* handlers = nullptr;
+  unsigned sel = 0;  // SbKind, plus kSbKindCount on the checked set
 #endif
 
-  uint64_t remaining = max_instructions;
+  // The budget as a retired-instruction count: the run stops before the
+  // instruction that would retire past ret_end.
+  const uint64_t ret_end = max_instructions > UINT64_MAX - instret_
+                               ? UINT64_MAX
+                               : instret_ + max_instructions;
   uint64_t ret = instret_;
   uint64_t cyc = cycles_;
   FetchObserver* observer = fetch_observer_;
@@ -741,7 +850,7 @@ outer:
     sb_cache_->Reclaim();
     SyncSuperblockBounds();
   }
-  if (remaining == 0) return MakeResult(StopReason::kInstrLimit);
+  if (instret_ >= ret_end) return MakeResult(StopReason::kInstrLimit);
   if (pc_ % 4 != 0 || static_cast<uint64_t>(pc_) + 4 > mem_size_ ||
       pc_ < image::kNullGuardEnd) {
     return FaultHere("bad fetch address");
@@ -765,283 +874,50 @@ outer:
   }
   observer = fetch_observer_;
   SB_RELOAD();
-  op = sb->ops();
-  SB_DISPATCH();
+  SB_ENTER(observer != nullptr);
 
 #if !SC_SB_COMPUTED_GOTO
 dispatch:
-  switch (static_cast<SbKind>(op->kind))
+  switch (sel)
 #endif
   {
-    SB_ALU(kSbAdd, a + b)
-    SB_ALU(kSbSub, a - b)
-    SB_ALU(kSbAnd, a & b)
-    SB_ALU(kSbOr, a | b)
-    SB_ALU(kSbXor, a ^ b)
-    SB_ALU(kSbSll, a << (b & 31))
-    SB_ALU(kSbSrl, a >> (b & 31))
-    SB_ALU(kSbSra, static_cast<uint32_t>(static_cast<int32_t>(a) >>
-                                         static_cast<int32_t>(b & 31)))
-    SB_ALU(kSbSlt,
-           static_cast<int32_t>(a) < static_cast<int32_t>(b) ? 1u : 0u)
-    SB_ALU(kSbSltu, a < b ? 1u : 0u)
-    SB_ALU(kSbMul, a * b)
-
-    SB_CASE(kSbDiv) : {
-      SB_PRE();
-      const uint32_t a = regs_[op->rs1];
-      const uint32_t b = regs_[op->rs2];
-      if (b == 0) {
-        pc_ = op->pc;
-        SB_FLUSH();
-        return FaultHere("division by zero");
-      }
-      const int32_t sa = static_cast<int32_t>(a);
-      const int32_t sd = static_cast<int32_t>(b);
-      // INT_MIN / -1 overflows; define it as wrapping (result INT_MIN).
-      set_reg(op->rd, (sa == INT32_MIN && sd == -1)
-                          ? a
-                          : static_cast<uint32_t>(sa / sd));
-      cyc += op->cost;
-      SB_NEXT();
-    }
-    SB_CASE(kSbDivu) : {
-      SB_PRE();
-      const uint32_t a = regs_[op->rs1];
-      const uint32_t b = regs_[op->rs2];
-      if (b == 0) {
-        pc_ = op->pc;
-        SB_FLUSH();
-        return FaultHere("division by zero");
-      }
-      set_reg(op->rd, a / b);
-      cyc += op->cost;
-      SB_NEXT();
-    }
-    SB_CASE(kSbRem) : {
-      SB_PRE();
-      const uint32_t a = regs_[op->rs1];
-      const uint32_t b = regs_[op->rs2];
-      if (b == 0) {
-        pc_ = op->pc;
-        SB_FLUSH();
-        return FaultHere("division by zero");
-      }
-      const int32_t sa = static_cast<int32_t>(a);
-      const int32_t sd = static_cast<int32_t>(b);
-      set_reg(op->rd, (sa == INT32_MIN && sd == -1)
-                          ? 0u
-                          : static_cast<uint32_t>(sa % sd));
-      cyc += op->cost;
-      SB_NEXT();
-    }
-    SB_CASE(kSbRemu) : {
-      SB_PRE();
-      const uint32_t a = regs_[op->rs1];
-      const uint32_t b = regs_[op->rs2];
-      if (b == 0) {
-        pc_ = op->pc;
-        SB_FLUSH();
-        return FaultHere("division by zero");
-      }
-      set_reg(op->rd, a % b);
-      cyc += op->cost;
-      SB_NEXT();
-    }
-
-    SB_ALUI(kSbAddi, a + static_cast<uint32_t>(imm))
-    SB_ALUI(kSbAndi, a & static_cast<uint32_t>(imm))
-    SB_ALUI(kSbOri, a | static_cast<uint32_t>(imm))
-    SB_ALUI(kSbXori, a ^ static_cast<uint32_t>(imm))
-    SB_ALUI(kSbSlti, static_cast<int32_t>(a) < imm ? 1u : 0u)
-    SB_ALUI(kSbSltiu, a < static_cast<uint32_t>(imm) ? 1u : 0u)
-    SB_ALUI(kSbSlli, a << (imm & 31))
-    SB_ALUI(kSbSrli, a >> (imm & 31))
-    SB_ALUI(kSbSrai,
-            static_cast<uint32_t>(static_cast<int32_t>(a) >> (imm & 31)))
-
-    SB_CASE(kSbLui) : {
-      SB_PRE();
-      set_reg(op->rd, static_cast<uint32_t>(op->imm) << 16);
-      cyc += op->cost;
-      SB_NEXT();
-    }
-
-    SB_LOAD(kSbLw, 4, {
-      uint32_t value = 0;
-      std::memcpy(&value, mem_ + paddr, 4);
-      set_reg(op->rd, value);
-    })
-    SB_LOAD(kSbLh, 2, {
-      int16_t v16 = 0;
-      std::memcpy(&v16, mem_ + paddr, 2);
-      set_reg(op->rd, static_cast<uint32_t>(static_cast<int32_t>(v16)));
-    })
-    SB_LOAD(kSbLhu, 2, {
-      uint16_t v16 = 0;
-      std::memcpy(&v16, mem_ + paddr, 2);
-      set_reg(op->rd, v16);
-    })
-    SB_LOAD(kSbLb, 1, {
-      set_reg(op->rd, static_cast<uint32_t>(static_cast<int32_t>(
-                          static_cast<int8_t>(mem_[paddr]))));
-    })
-    SB_LOAD(kSbLbu, 1, { set_reg(op->rd, mem_[paddr]); })
-
-    SB_STORE(kSbSw, 4, {
-      const uint32_t value = regs_[op->rd];
-      std::memcpy(mem_ + paddr, &value, 4);
-    })
-    SB_STORE(kSbSh, 2, {
-      const uint16_t v16 = static_cast<uint16_t>(regs_[op->rd]);
-      std::memcpy(mem_ + paddr, &v16, 2);
-    })
-    SB_STORE(kSbSb, 1, { mem_[paddr] = static_cast<uint8_t>(regs_[op->rd]); })
-
-    SB_BRANCH(kSbBeq, a == b)
-    SB_BRANCH(kSbBne, a != b)
-    SB_BRANCH(kSbBlt, static_cast<int32_t>(a) < static_cast<int32_t>(b))
-    SB_BRANCH(kSbBge, static_cast<int32_t>(a) >= static_cast<int32_t>(b))
-    SB_BRANCH(kSbBltu, a < b)
-    SB_BRANCH(kSbBgeu, a >= b)
-
-    SB_CASE(kSbJ) : {
-      SB_PRE();
-      cyc += op->cost;
-      Superblock* nxt = sb->taken;
-      if (nxt != nullptr && nxt->valid) {
-        sb = nxt;
-        op = sb->ops();
-        SB_DISPATCH();
-      }
-      pc_ = static_cast<uint32_t>(op->imm);
-      chain_slot = &sb->taken;
-      SB_FLUSH();
-      goto outer;
-    }
-    SB_CASE(kSbJal) : {
-      SB_PRE();
-      set_reg(isa::kRa, op->pc + 4);
-      cyc += op->cost;
-      Superblock* nxt = sb->taken;
-      if (nxt != nullptr && nxt->valid) {
-        sb = nxt;
-        op = sb->ops();
-        SB_DISPATCH();
-      }
-      pc_ = static_cast<uint32_t>(op->imm);
-      chain_slot = &sb->taken;
-      SB_FLUSH();
-      goto outer;
-    }
-    SB_CASE(kSbJalr) : {
-      SB_PRE();
-      const uint32_t target =
-          (regs_[op->rs1] + static_cast<uint32_t>(op->imm)) & ~3u;
-      set_reg(op->rd, op->pc + 4);
-      cyc += op->cost;
-      pc_ = target;  // dynamic target: resolve through the dispatch loop
-      SB_FLUSH();
-      goto outer;
-    }
-
-    SB_CASE(kSbSys) : {
-      SB_PRE();
-      cyc += op->cost;
-      pc_ = op->pc;  // OnIcacheInvalidate receives the trapping pc
-      SB_FLUSH();
-      uint32_t next_pc = op->pc + 4;
-      DoSyscall(op->imm, &next_pc);
-      if (pending_stop_ != StopReason::kRunning) {
-        return MakeResult(pending_stop_);
-      }
-      // SYS ends the block: OnIcacheInvalidate may have evicted the very
-      // code that issued it, so always re-resolve.
-      pc_ = next_pc;
-      goto outer;
-    }
-    SB_CASE(kSbHalt) : {
-      SB_PRE();
-      pc_ = op->pc;
-      SB_FLUSH();
-      pending_stop_ = StopReason::kHalted;
-      exit_code_ = static_cast<int32_t>(regs_[isa::kA0]);
-      return MakeResult(pending_stop_);
-    }
-    SB_CASE(kSbTcMiss) : {
-      SB_PRE();
-      pc_ = op->pc;
-      SB_FLUSH();
-      if (trap_handler_ == nullptr) {
-        return FaultHere("TCMISS with no trap handler");
-      }
-      // The handler installs/patches code (killing overlapping superblocks
-      // through InvalidateDecode) and returns the resume pc.
-      pc_ = trap_handler_->OnTcMiss(*this, static_cast<uint32_t>(op->imm));
-      if (pending_stop_ != StopReason::kRunning) {
-        return MakeResult(pending_stop_);
-      }
-      goto outer;
-    }
-    SB_CASE(kSbTcJalr) : {
-      SB_PRE();
-      pc_ = op->pc;
-      if (trap_handler_ == nullptr) {
-        SB_FLUSH();
-        return FaultHere("TCJALR with no trap handler");
-      }
-      cyc += op->cost;
-      SB_FLUSH();
-      Instr in;
-      in.op = Opcode::kTcJalr;
-      in.rd = op->rd;
-      in.rs1 = op->rs1;
-      in.imm = op->imm;
-      pc_ = trap_handler_->OnTcJalr(*this, in, op->pc);
-      if (pending_stop_ != StopReason::kRunning) {
-        return MakeResult(pending_stop_);
-      }
-      goto outer;
-    }
-    SB_CASE(kSbIllegal) : {
-      SB_PRE();
-      pc_ = op->pc;
-      SB_FLUSH();
-      return FaultIllegal(static_cast<uint32_t>(op->imm));
-    }
-    SB_CASE(kSbFallthrough) : {
-      // Synthetic terminator: zero instructions, just a continuation.
-      Superblock* nxt = sb->fall;
-      if (nxt != nullptr && nxt->valid) {
-        sb = nxt;
-        op = sb->ops();
-        SB_DISPATCH();
-      }
-      pc_ = op->pc;
-      chain_slot = &sb->fall;
-      SB_FLUSH();
-      goto outer;
-    }
-#if !SC_SB_COMPUTED_GOTO
-    case kSbKindCount:
-      break;  // never emitted by TranslateSuperblock
-#endif
+#define SB_CHECKED 0
+#include "vm/superblock_handlers.inc"
+#undef SB_CHECKED
+#define SB_CHECKED 1
+#include "vm/superblock_handlers.inc"
+#undef SB_CHECKED
   }
 #if !SC_SB_COMPUTED_GOTO
   SC_UNREACHABLE() << "threaded dispatch fell out of the switch";
 #endif
 }
 
+#undef SB_LABEL_
+#undef SB_LABEL
 #undef SB_CASE
+#undef SB_GOTO_FAST
+#undef SB_GOTO_CHECKED
 #undef SB_NEXT
-#undef SB_DISPATCH
+#undef SB_ENTER
+#undef SB_LATER
+#undef SB_FLUSH_LESS
+#undef SB_RELOAD_MORE
 #undef SB_FLUSH
 #undef SB_RELOAD
+#undef SB_FLUSH_BEFORE_OP
+#undef SB_RELOAD_BEFORE_OP
+#undef SB_FLUSH_AT_OP
+#undef SB_RELOAD_AT_OP
+#undef SB_FLUSH_PAST_OP
 #undef SB_PRE
+#undef SB_EXIT_VIA
 #undef SB_ALU
+#undef SB_DIVIDE
 #undef SB_ALUI
 #undef SB_BRANCH
 #undef SB_LOAD
 #undef SB_STORE
+#undef SB_KINDS
 
 }  // namespace sc::vm

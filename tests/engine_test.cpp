@@ -8,14 +8,19 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include <cstring>
 
+#include "dcache/dcache.h"
 #include "isa/isa.h"
 #include "minicc/compiler.h"
+#include "net/channel.h"
 #include "sasm/assembler.h"
+#include "softcache/mc.h"
 #include "softcache/system.h"
 #include "tests/program_gen.h"
 #include "util/rng.h"
@@ -316,15 +321,21 @@ TEST(EngineMechanics, SwitchingEnginesMidRunIsSeamless) {
 }
 
 TEST(EngineMechanics, FaultMessagesIdentical) {
-  // A program that runs off the end of its text into unmapped space, and one
-  // that divides by zero: the threaded engine must produce the interpreter's
-  // exact fault strings (pc included).
-  const char* kFaults[] = {
+  // A program that runs off the end of its text into unmapped space, one
+  // that divides by zero and one that reaches a TCJALR with no trap handler
+  // (both fault before their op's cycle charge): the threaded engine must
+  // produce the interpreter's exact fault strings (pc included) and
+  // counters.
+  const uint32_t tcjalr =
+      isa::Encode(isa::Instr{.op = isa::Opcode::kTcJalr, .rd = 1, .rs1 = 5});
+  const std::string kFaults[] = {
       "_start:\n  li t0, 1\n  li t1, 0\n  div t2, t0, t1\n  sys 0\n",
       "_start:\n  li t0, 0x7f000000\n  jalr zero, t0, 0\n",
       "_start:\n  li t0, 6\n  jalr zero, t0, 2\n",
+      "_start:\n  li t0, 6\n  mul t1, t0, t0\n  .word " +
+          std::to_string(tcjalr) + "\n",
   };
-  for (const char* src : kFaults) {
+  for (const std::string& src : kFaults) {
     auto img = sasm::Assemble(src);
     ASSERT_TRUE(img.ok()) << img.error().ToString();
     const EngineRun interp = RunNative(*img, {}, Engine::kInterp, 1'000'000);
@@ -394,6 +405,341 @@ TEST(EngineMechanics, EveryBlockLengthMatchesInterpreter) {
   }
   EXPECT_TRUE(cut_seen);
 }
+
+// Superblocks bake suffix sums of the cost model in at translation time:
+// uneven costs, and the largest a model may carry, must total exactly what
+// the interpreter charges op by op. A larger cost could overflow a block's
+// 32-bit sum and is refused.
+TEST(EngineMechanics, CustomCostModelsMatchInterpreter) {
+  const image::Image img =
+      workloads::CompileWorkload(*workloads::FindWorkload("sha256"));
+  const auto input = workloads::MakeInput("sha256", 1);
+  vm::CostModel uneven{.alu = 2, .mul = 7, .div = 13, .load = 3,
+                       .store = 5, .branch = 11, .jump = 17, .syscall = 19};
+  const uint32_t m = vm::kSbMaxOpCost;
+  const vm::CostModel largest{m, m, m, m, m, m, m, m};
+  for (const vm::CostModel& cost : {uneven, largest}) {
+    EngineRun runs[2];
+    for (const Engine engine : {Engine::kInterp, Engine::kThreaded}) {
+      vm::Machine machine;
+      machine.set_engine(engine);
+      machine.set_cost_model(cost);
+      machine.LoadImage(img);
+      machine.SetInput(input);
+      EngineRun& run = runs[engine == Engine::kThreaded];
+      run.result = machine.Run(300'000);
+      run.output = machine.OutputString();
+    }
+    EXPECT_EQ(runs[0].result.reason, vm::StopReason::kInstrLimit);
+    ExpectBitIdentical(runs[0], runs[1], "alu cost " + std::to_string(cost.alu));
+  }
+  uneven.div = m + 1;
+  vm::Machine machine;
+  EXPECT_DEATH(machine.set_cost_model(uneven), "instruction cost too large");
+}
+
+// ---------------------------------------------------------------------------
+// Budget stops and call-outs: the threaded engine charges a block's
+// instructions and cycles on entry, so every point that can observe the
+// counters inside a block must take back exactly the part not yet done.
+// ---------------------------------------------------------------------------
+
+// What a budget stop, a hook call-out or a fetch can see of a machine.
+struct Seen {
+  vm::StopReason reason = vm::StopReason::kRunning;
+  uint32_t pc = 0;
+  uint64_t instret = 0;
+  uint64_t cycles = 0;
+  uint64_t reg_hash = 0;
+  bool operator==(const Seen&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Seen& s) {
+  return os << "{reason=" << static_cast<int>(s.reason) << " pc=0x" << std::hex
+            << s.pc << std::dec << " instret=" << s.instret
+            << " cycles=" << s.cycles << " regs=" << s.reg_hash << "}";
+}
+
+Seen SeenBy(const vm::Machine& m, vm::StopReason reason, uint32_t pc) {
+  Seen s{reason, pc, m.instructions(), m.cycles(), 14695981039346656037ull};
+  for (uint8_t r = 0; r < isa::kNumRegs; ++r) {
+    s.reg_hash = (s.reg_hash ^ m.reg(r)) * 1099511628211ull;
+  }
+  return s;
+}
+
+// A running digest of everything the hook call-outs saw, in order.
+struct CallOutLog {
+  uint64_t count = 0;
+  uint64_t hash = 14695981039346656037ull;
+  void Add(const Seen& s) {
+    ++count;
+    for (const uint64_t v : {uint64_t{s.pc}, s.instret, s.cycles, s.reg_hash}) {
+      hash = (hash ^ v) * 1099511628211ull;
+    }
+  }
+  bool operator==(const CallOutLog&) const = default;
+};
+
+// Forwards TCMISS/TCJALR/ICACHE_INVAL traps, logging what each one sees.
+class LoggingTrapHandler : public vm::TrapHandler {
+ public:
+  LoggingTrapHandler(vm::TrapHandler* inner, CallOutLog* log)
+      : inner_(inner), log_(log) {}
+  uint32_t OnTcMiss(vm::Machine& m, uint32_t stub_index) override {
+    log_->Add(SeenBy(m, vm::StopReason::kRunning, m.pc()));
+    return inner_->OnTcMiss(m, stub_index);
+  }
+  uint32_t OnTcJalr(vm::Machine& m, const isa::Instr& instr,
+                    uint32_t pc) override {
+    log_->Add(SeenBy(m, vm::StopReason::kRunning, pc));
+    return inner_->OnTcJalr(m, instr, pc);
+  }
+  uint32_t OnIcacheInvalidate(vm::Machine& m, uint32_t addr, uint32_t len,
+                              uint32_t pc) override {
+    log_->Add(SeenBy(m, vm::StopReason::kRunning, pc));
+    return inner_->OnIcacheInvalidate(m, addr, len, pc);
+  }
+
+ private:
+  vm::TrapHandler* inner_;
+  CallOutLog* log_;
+};
+
+// Forwards data-hook translations, logging what each one sees.
+class LoggingDataHook : public vm::DataHook {
+ public:
+  LoggingDataHook(vm::DataHook* inner, CallOutLog* log)
+      : inner_(inner), log_(log) {}
+  uint32_t Translate(vm::Machine& m, uint32_t vaddr, uint32_t size,
+                     bool is_store) override {
+    log_->Add(SeenBy(m, vm::StopReason::kRunning, m.pc()));
+    return inner_->Translate(m, vaddr, size, is_store);
+  }
+
+ private:
+  vm::DataHook* inner_;
+  CallOutLog* log_;
+};
+
+// Logs the pc stream with the counters at each fetch.
+class LoggingObserver : public vm::FetchObserver {
+ public:
+  LoggingObserver(const vm::Machine* m, CallOutLog* log) : m_(m), log_(log) {}
+  void OnFetch(uint32_t pc) override {
+    log_->Add({vm::StopReason::kRunning, pc, m_->instructions(), m_->cycles(),
+               0});
+  }
+
+ private:
+  const vm::Machine* m_;
+  CallOutLog* log_;
+};
+
+// A loop whose stores patch an op later in its own block (the block is
+// left through sb_interrupt_ on every pass) and a word of text past the
+// code, which kills nothing but still takes the store's slow path.
+constexpr char kSmcLoopSource[] = R"(
+  _start:
+    li s0, 300
+    li s1, 0
+    la t0, target
+    la t1, alt
+  loop:
+    lw t2, 0(t1)
+    lw t3, 0(t0)
+    sw t2, 0(t1)
+    sw t3, 0(t0)
+    mul t4, s0, s0
+  target:
+    addi s1, s1, 3
+    add s1, s1, t4
+    addi s0, s0, -1
+    bne s0, zero, loop
+    mv a0, s1
+    sys 0
+  alt:
+    addi s1, s1, 5
+)";
+
+struct BudgetScenario {
+  const char* name;
+  const char* workload;  // a bundled workload, or "smc_loop"
+  bool softcache;  // SPARC-style client on a 2 KB tcache
+  bool observer;
+  bool dcache;
+  // Every budget in [1, dense] gets a fresh machine; a softcache rig pays
+  // its server round trips again each time, hence the smaller ranges.
+  uint64_t dense;
+};
+
+// gtest prints a parameter in test listings; the name keeps them stable.
+void PrintTo(const BudgetScenario& scn, std::ostream* os) { *os << scn.name; }
+
+const image::Image& CompiledWorkload(const std::string& name) {
+  static std::map<std::string, image::Image> images;
+  auto it = images.find(name);
+  if (it == images.end()) {
+    image::Image img;
+    if (name == "smc_loop") {
+      auto assembled = sasm::Assemble(kSmcLoopSource);
+      SC_CHECK(assembled.ok()) << assembled.error().ToString();
+      img = std::move(*assembled);
+    } else {
+      img = workloads::CompileWorkload(*workloads::FindWorkload(name));
+    }
+    it = images.emplace(name, std::move(img)).first;
+  }
+  return it->second;
+}
+
+// One machine set up for a scenario on one engine, run to absolute
+// instruction budgets. Every trap, data-hook and fetch call-out is logged.
+class BudgetRig {
+ public:
+  BudgetRig(const BudgetScenario& scn, Engine engine)
+      : img_(CompiledWorkload(scn.workload)) {
+    const std::string workload = scn.workload;
+    const auto input = workload == "smc_loop"
+                           ? std::vector<uint8_t>()
+                           : workloads::MakeInput(workload, 1);
+    vm::Machine* m = nullptr;
+    if (scn.softcache) {
+      softcache::SoftCacheConfig config;
+      config.style = softcache::Style::kSparc;
+      config.tcache_bytes = 2048;
+      system_ = std::make_unique<softcache::MultiClientSystem>(
+          img_, softcache::MultiClientConfig{.base = config});
+      m = &system_->machine(0);
+      m->set_engine(engine);
+      system_->SetInput(0, input);
+      system_->RunAll(0);  // attaches the cache controller, runs nothing
+      trap_ = std::make_unique<LoggingTrapHandler>(&system_->cc(0), &log_);
+      m->set_trap_handler(trap_.get());
+    } else {
+      machine_ = std::make_unique<vm::Machine>();
+      m = machine_.get();
+      m->set_engine(engine);
+      m->LoadImage(img_);
+      m->SetInput(input);
+    }
+    if (scn.dcache) {
+      softcache::MemoryController* mc = nullptr;
+      net::Channel* channel = nullptr;
+      dcache::DCacheConfig dconfig;
+      if (system_ != nullptr) {
+        mc = &system_->mc();
+        channel = &system_->channel(0);
+        dconfig.local_base = system_->cc(0).local_limit();
+      } else {
+        own_mc_ = std::make_unique<softcache::MemoryController>(
+            img_, softcache::Style::kSparc, 64);
+        own_channel_ = std::make_unique<net::Channel>();
+        mc = own_mc_.get();
+        channel = own_channel_.get();
+      }
+      dcache_ = std::make_unique<dcache::DataCache>(*m, *mc, *channel, dconfig);
+      data_hook_ = std::make_unique<LoggingDataHook>(dcache_.get(), &log_);
+      m->SetDataHook(data_hook_.get(), mc->server().DataBase(),
+                     image::kStackTop + 16);
+    }
+    if (scn.observer) {
+      observer_ = std::make_unique<LoggingObserver>(m, &log_);
+      m->set_fetch_observer(observer_.get());
+    }
+    machine_view_ = m;
+  }
+
+  Seen RunTo(uint64_t budget) {
+    vm::Machine& m = *machine_view_;
+    const vm::RunResult r =
+        system_ != nullptr ? system_->RunAll(budget)[0]
+                           : m.Run(budget - m.instructions());
+    EXPECT_EQ(r.instructions, m.instructions());
+    EXPECT_EQ(r.cycles, m.cycles());
+    return SeenBy(m, r.reason, m.pc());
+  }
+  const CallOutLog& log() const { return log_; }
+
+ private:
+  const image::Image& img_;
+  CallOutLog log_;
+  std::unique_ptr<vm::Machine> machine_;
+  std::unique_ptr<softcache::MultiClientSystem> system_;
+  std::unique_ptr<softcache::MemoryController> own_mc_;
+  std::unique_ptr<net::Channel> own_channel_;
+  std::unique_ptr<dcache::DataCache> dcache_;
+  std::unique_ptr<LoggingTrapHandler> trap_;
+  std::unique_ptr<LoggingDataHook> data_hook_;
+  std::unique_ptr<LoggingObserver> observer_;
+  vm::Machine* machine_view_ = nullptr;
+};
+
+class EngineBudgetTest : public ::testing::TestWithParam<BudgetScenario> {};
+
+// Stops the threaded engine at every budget from 1 to scn.dense (or to the
+// end of a shorter run), each from a fresh machine: everything before the
+// last block runs on the fast handlers, the last one stops inside on the
+// checked ones. Then stops it at seeded random larger budgets in one
+// resumed run. Every stop must match the
+// interpreter's pc, counters and registers at the same budget, and every
+// call-out up to it must have seen the interpreter's counters.
+TEST_P(EngineBudgetTest, EveryBudgetStopMatchesInterpreter) {
+  const BudgetScenario& scn = GetParam();
+  constexpr uint64_t kMaxBudget = 2'000'000;
+
+  BudgetRig interp(scn, Engine::kInterp);
+  std::vector<Seen> stops;
+  std::vector<CallOutLog> logs;
+  while (stops.size() < scn.dense &&
+         (stops.empty() || stops.back().reason == vm::StopReason::kInstrLimit)) {
+    stops.push_back(interp.RunTo(stops.size() + 1));
+    logs.push_back(interp.log());
+  }
+  if (scn.softcache || scn.observer || scn.dcache) {
+    EXPECT_GT(interp.log().count, 0u);
+  }
+  for (uint64_t budget = 1; budget <= stops.size(); ++budget) {
+    BudgetRig threaded(scn, Engine::kThreaded);
+    ASSERT_EQ(threaded.RunTo(budget), stops[budget - 1])
+        << scn.name << " budget=" << budget;
+    ASSERT_EQ(threaded.log(), logs[budget - 1])
+        << scn.name << " budget=" << budget;
+  }
+  if (stops.back().reason != vm::StopReason::kInstrLimit) return;
+
+  BudgetRig interp_resumed(scn, Engine::kInterp);
+  BudgetRig threaded_resumed(scn, Engine::kThreaded);
+  util::Rng rng(0xb1d6e7);
+  uint64_t stops_checked = 0;
+  for (uint64_t budget = scn.dense; budget <= kMaxBudget;
+       budget += 1 + rng.Below(budget)) {
+    const Seen want = interp_resumed.RunTo(budget);
+    ASSERT_EQ(threaded_resumed.RunTo(budget), want)
+        << scn.name << " budget=" << budget;
+    ASSERT_EQ(threaded_resumed.log(), interp_resumed.log())
+        << scn.name << " budget=" << budget;
+    ++stops_checked;
+    if (want.reason != vm::StopReason::kInstrLimit) break;
+  }
+  EXPECT_GT(stops_checked, 10u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, EngineBudgetTest,
+    ::testing::Values(
+        BudgetScenario{"smc_loop", "smc_loop", false, false, false, 3000},
+        BudgetScenario{"sha256", "sha256", false, false, false, 3000},
+        BudgetScenario{"sha256_observer", "sha256", false, true, false, 3000},
+        BudgetScenario{"sha256_dcache", "sha256", false, false, true, 2000},
+        BudgetScenario{"cjpeg_sparc2k", "cjpeg", true, false, false, 1500},
+        BudgetScenario{"cjpeg_sparc2k_observer", "cjpeg", true, true, false,
+                       1500},
+        BudgetScenario{"cjpeg_sparc2k_dcache", "cjpeg", true, false, true,
+                       600}),
+    [](const ::testing::TestParamInfo<BudgetScenario>& param) {
+      return std::string(param.param.name);
+    });
 
 // ---------------------------------------------------------------------------
 // Self-modifying code

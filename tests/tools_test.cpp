@@ -43,10 +43,46 @@ TEST(ToolArgs, IntegerValues) {
   EXPECT_EXIT(bad.GetInt("clients", 0), ::testing::ExitedWithCode(2),
               "--clients=2junk");
   EXPECT_EXIT(bad.GetInt("huge", 0), ::testing::ExitedWithCode(2), "huge");
-  EXPECT_EXIT(bad.GetDouble("rate", 0), ::testing::ExitedWithCode(2),
-              "--rate=0.5x: not a number");
-  EXPECT_EQ(bad.GetDouble("rate_ok", 0), 0.25);
-  EXPECT_EQ(bad.GetDouble("absent", 0.5), 0.5);
+  EXPECT_EXIT(bad.GetProbability("rate", 0), ::testing::ExitedWithCode(2),
+              "--rate=0.5x: not a probability");
+  EXPECT_EQ(bad.GetProbability("rate_ok", 0), 0.25);
+  EXPECT_EQ(bad.GetProbability("absent", 0.5), 0.5);
+}
+
+// Probabilities must be finite and in [0, 1]; integer knobs must not be
+// negative (strtoull would wrap "-1" to 2^64 - 1 and strtod accepts "nan"
+// and "inf"). Each is a usage error, never a silently odd fault schedule.
+TEST(ToolArgs, ProbabilitiesAndNonNegativeIntegers) {
+  double p = -1;
+  EXPECT_TRUE(tools::ParseProbability("0", &p));
+  EXPECT_EQ(p, 0.0);
+  EXPECT_TRUE(tools::ParseProbability("1", &p));
+  EXPECT_EQ(p, 1.0);
+  EXPECT_TRUE(tools::ParseProbability("0.01", &p));
+  EXPECT_EQ(p, 0.01);
+  for (const char* bad : {"2", "-1", "-0.5", "1.0001", "nan", "NaN", "inf",
+                          "-inf", "", "0.5x", "1e999"}) {
+    EXPECT_FALSE(tools::ParseProbability(bad, &p)) << bad;
+  }
+  uint64_t n = 0;
+  EXPECT_TRUE(tools::ParseUint("40", 10, &n));
+  EXPECT_EQ(n, 40u);
+  EXPECT_TRUE(tools::ParseUint("0x10", 0, &n));
+  EXPECT_EQ(n, 16u);
+  for (const char* bad : {"-1", " -1", "-0", "", "4x", "99999999999999999999"}) {
+    EXPECT_FALSE(tools::ParseUint(bad, 10, &n)) << bad;
+  }
+
+  const auto args = MakeArgs({"--crash-rate=2", "--crash-inf=inf",
+                              "--crash-nan=nan", "--crash-period=-1"});
+  EXPECT_EXIT(args.GetProbability("crash-rate", 0), ::testing::ExitedWithCode(2),
+              "--crash-rate=2: not a probability in \\[0, 1\\]");
+  EXPECT_EXIT(args.GetProbability("crash-inf", 0), ::testing::ExitedWithCode(2),
+              "--crash-inf=inf");
+  EXPECT_EXIT(args.GetProbability("crash-nan", 0), ::testing::ExitedWithCode(2),
+              "--crash-nan=nan");
+  EXPECT_EXIT(args.GetInt("crash-period", 0), ::testing::ExitedWithCode(2),
+              "--crash-period=-1: not a non-negative integer");
 }
 
 TEST(ToolArgs, UnknownFlagDetection) {

@@ -140,23 +140,25 @@ bool ParseMemFaults(const std::string& spec, softcache::MemFaultConfig* out,
     }
     const std::string knob = pair.substr(0, eq);
     const std::string value = pair.substr(eq + 1);
-    char* end = nullptr;
+    bool ok = false;
     if (knob == "rate") {
-      out->rate = std::strtod(value.c_str(), &end);
+      ok = tools::ParseProbability(value, &out->rate);
     } else if (knob == "period") {
-      out->period = std::strtoull(value.c_str(), &end, 10);
+      ok = tools::ParseUint(value, 10, &out->period);
     } else if (knob == "after") {
-      out->after = std::strtoull(value.c_str(), &end, 10);
+      ok = tools::ParseUint(value, 10, &out->after);
     } else if (knob == "at-cycle") {
-      out->at_cycle = std::strtoull(value.c_str(), &end, 10);
+      ok = tools::ParseUint(value, 10, &out->at_cycle);
     } else if (knob == "seed") {
-      out->seed = std::strtoull(value.c_str(), &end, 10);
+      ok = tools::ParseUint(value, 10, &out->seed);
     } else {
       *error = "unknown knob '" + knob + "'";
       return false;
     }
-    if (end == value.c_str() || *end != '\0') {
-      *error = "malformed value '" + value + "' for " + knob;
+    if (!ok) {
+      *error = "malformed value '" + value + "' for " + knob +
+               (knob == "rate" ? " (a probability in [0, 1])"
+                               : " (a non-negative integer)");
       return false;
     }
   }
@@ -361,7 +363,7 @@ int main(int argc, char** argv) {
   config.fault.crash_period = args.GetInt("crash-period", 0);
   config.fault.crash_after_requests = args.GetInt("crash-after", 0);
   config.fault.crash_at_cycle = args.GetInt("crash-at-cycle", 0);
-  config.fault.crash = args.GetDouble("crash-rate", 0.0);
+  config.fault.crash = args.GetProbability("crash-rate", 0.0);
 
   // Integrity fault domain: either flag turns on digest stamping,
   // verify-on-use and the background scrub; --memfaults adds the storm.

@@ -2,6 +2,8 @@
 #pragma once
 
 #include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -41,6 +43,28 @@ inline bool WriteFileBytes(const std::string& path, const std::vector<uint8_t>& 
   return out.good();
 }
 
+// Parses all of `v` as a non-negative integer in `base` (0: decimal or
+// 0x-hex). strtoull alone would accept a minus sign and wrap "-1" to
+// 2^64 - 1, so a negative value is rejected like trailing junk.
+inline bool ParseUint(const std::string& v, int base, uint64_t* out) {
+  const size_t first = v.find_first_not_of(" \t\n\v\f\r");
+  if (first == std::string::npos || v[first] == '-') return false;
+  errno = 0;
+  char* end = nullptr;
+  *out = std::strtoull(v.c_str(), &end, base);
+  return end != v.c_str() && *end == '\0' && errno != ERANGE;
+}
+
+// Parses all of `v` as a probability: a finite number in [0, 1]. strtod
+// alone would also accept "nan", "inf" and any out-of-range rate.
+inline bool ParseProbability(const std::string& v, double* out) {
+  errno = 0;
+  char* end = nullptr;
+  *out = std::strtod(v.c_str(), &end);
+  return end != v.c_str() && *end == '\0' && errno != ERANGE &&
+         std::isfinite(*out) && *out >= 0.0 && *out <= 1.0;
+}
+
 // Tiny flag parser: positional args plus --key=value / --flag options.
 class Args {
  public:
@@ -73,27 +97,28 @@ class Args {
     return fallback;
   }
   // Numeric flag values (integers in decimal or 0x-hex). A value that does
-  // not parse completely — trailing junk, out of range — is a usage error:
-  // a message on stderr and exit 2, never a silently truncated number.
+  // not parse completely — trailing junk, out of range, negative — is a
+  // usage error: a message on stderr and exit 2, never a silently truncated
+  // or wrapped number.
   uint64_t GetInt(const std::string& name, uint64_t fallback) const {
     const std::string v = Get(name);
     if (v.empty()) return fallback;
-    errno = 0;
-    char* end = nullptr;
-    const uint64_t value = std::strtoull(v.c_str(), &end, 0);
-    if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
-      BadValue(name, v, "an integer");
+    uint64_t value = 0;
+    if (!ParseUint(v, 0, &value)) {
+      BadValue(name, v,
+               v.find('-') != std::string::npos ? "a non-negative integer"
+                                                : "an integer");
     }
     return value;
   }
-  double GetDouble(const std::string& name, double fallback) const {
+  // A probability flag: exit 2 unless the value is a finite number in
+  // [0, 1].
+  double GetProbability(const std::string& name, double fallback) const {
     const std::string v = Get(name);
     if (v.empty()) return fallback;
-    errno = 0;
-    char* end = nullptr;
-    const double value = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
-      BadValue(name, v, "a number");
+    double value = 0;
+    if (!ParseProbability(v, &value)) {
+      BadValue(name, v, "a probability in [0, 1]");
     }
     return value;
   }
